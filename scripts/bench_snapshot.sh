@@ -20,9 +20,10 @@
 #
 # --check reruns the benches and fails (exit 1) when an idle-heavy engine
 # case (the event scheduler's pop/advance and predicate-dispatch paths)
-# regresses more than 25% against the committed snapshot, or when a
-# megascale work counter grows more than 25% over the committed curve
-# (compared at the depths the shallow --check run shares with the
+# or an analysis-kernel case (schedulability test, interface and tree
+# selection) regresses more than 25% against the committed snapshot, or
+# when a megascale work counter grows more than 25% over the committed
+# curve (compared at the depths the shallow --check run shares with the
 # snapshot). The full megascale refresh sweeps to depth 8/10 and takes
 # minutes; --check stays shallow.
 set -euo pipefail
@@ -53,12 +54,17 @@ import sys
 raw_path, snapshot_path, mode = sys.argv[1], sys.argv[2], sys.argv[3]
 
 BASELINE = "bm_sbf"
-# The perf-smoke gate: engine paths this PR is accountable for. Model-
-# level cases (SE tick, memory controller) drift with model features and
-# are recorded for trend-reading, not gated.
+# The perf-smoke gate: the engine paths and the analysis kernels (the
+# schedulability test, one-shot and prepared, and interface selection per
+# port and per tree). Model-level cases (SE tick, memory controller)
+# drift with model features and are recorded for trend-reading, not gated.
 GUARDED_PREFIXES = (
     "bm_event_engine_pop_advance",
     "bm_run_until_template_predicate",
+    "bm_schedulability_test",
+    "bm_schedulability_sufficient",
+    "bm_select_interface",
+    "bm_tree_selection_16_clients",
 )
 TOLERANCE = 0.25
 
@@ -118,7 +124,7 @@ if failures:
     for f_ in failures:
         print(f"  {f_}")
     sys.exit(1)
-print("perf-smoke: guarded engine cases within tolerance.")
+print("perf-smoke: guarded engine and analysis cases within tolerance.")
 PY
 
 # --- mega-scale whole-tree selection ---------------------------------------

@@ -4,7 +4,9 @@
 # campaigns, retry bookkeeping, and the reconfiguration subsystem, whose
 # transactional staging/rollback swaps whole tree selections and task
 # sets at runtime. A clean run demonstrates the rollback paths leak and
-# corrupt nothing.
+# corrupt nothing. The analysis suites run too: the schedulability
+# kernel's bound arithmetic converts doubles to integers, which the
+# float-cast-overflow check (added by the CMake preset) guards.
 #
 #   $ scripts/check_asan_ubsan.sh [build-dir]
 set -euo pipefail
@@ -20,9 +22,18 @@ cmake --build "$build_dir" --target bluescale_tests \
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 export ASAN_OPTIONS="detect_leaks=1"
 
-# Core fabric + analysis surfaces the reconfiguration layer leans on.
+# Core fabric + analysis surfaces the reconfiguration layer leans on:
+# schedulability (the kernel, its necessary filters and the sufficient
+# portfolio), interface and whole-tree selection, the cheap-first ladder
+# and the maintenance-corrected supply.
+analysis_suites='schedulability*:*schedulability_*:is_schedulable.*'
+analysis_suites+=':sufficient_portfolio.*:theorem1_beta.*:*dbf*'
+analysis_suites+=':interface_selection.*:min_budget_for_period.*'
+analysis_suites+=':select_interface.*:*selection_optimality*'
+analysis_suites+=':theorem2_max_period.*:selection_ladder.*:*ladder_*'
+analysis_suites+=':tree_analysis*:selection_failure_report.*:maintenance*'
 "$build_dir/tests/bluescale_tests" \
-    --gtest_filter='parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*'
+    --gtest_filter="parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*:$analysis_suites"
 
 # The whole resilience suite: fault campaigns, retries, health monitor,
 # admission control, transactional rollback, watchdog shedding, and the

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "analysis/demand_bound.hpp"
 #include "analysis/maintenance.hpp"
@@ -25,7 +26,7 @@ enum class sched_result : std::uint8_t {
 struct sched_test_stats {
     std::uint64_t tests_run = 0;      ///< schedulability tests invoked
     std::uint64_t points_checked = 0; ///< dbf/sbf comparisons performed
-    /// Cheap-first ladder outcomes: candidates the O(n log n) sufficient
+    /// Cheap-first ladder outcomes: candidates the linear-time sufficient
     /// portfolio decided outright vs. those that fell through (`aborted`)
     /// to the pseudo-polynomial exact test. Only advanced when
     /// sched_test_config::cheap_first is set.
@@ -73,7 +74,7 @@ struct sched_test_config {
     /// treated as unschedulable by every caller). Default false reproduces
     /// the pseudo-polynomial exact test bit-for-bit.
     bool sufficient_only = false;
-    /// Cheap-first test ladder: is_schedulable() tries the O(n log n)
+    /// Cheap-first test ladder: is_schedulable() tries the linear-time
     /// sufficient portfolio first and runs the pseudo-polynomial exact
     /// test only when the portfolio returns `aborted` (undecided). Both
     /// rungs are sound, so a laddered verdict can differ from the
@@ -90,10 +91,64 @@ struct sched_test_config {
 [[nodiscard]] double theorem1_beta(const resource_interface& iface,
                                    double task_utilization);
 
+/// The schedulability test, prepared once for one task set under one
+/// configuration and then run against many candidate interfaces (interface
+/// selection probes O(Pi_max log Pi_max) of them per task set).
+///
+/// Prepare (the constructor): the set's utilization (summed in task
+/// order, bit-identical to utilization()), its minimum active period, the
+/// maintenance model's mu and burst, and -- only when `cfg` runs the
+/// sufficient rung, in O(n log n) and the kernel's only allocation -- that
+/// rung's breakpoints: at each distinct period, the cumulative utilization
+/// of every task with that period or a shorter one.
+///
+/// Test (test(), allocation-free): verdicts and sched_test_stats counts
+/// are exactly those of the unprepared enumeration, because the counts
+/// are model outputs -- they price the hardware selector's
+/// reconfiguration latency (core::interface_selector,
+/// core::parameter_path).
+///
+/// The kernel refers to `tasks` and `cfg`, which must outlive it.
+class sched_kernel {
+public:
+    sched_kernel(const task_set& tasks, const sched_test_config& cfg);
+    // A temporary would dangle before the first probe.
+    sched_kernel(task_set&&, const sched_test_config&) = delete;
+    sched_kernel(const task_set&, sched_test_config&&) = delete;
+
+    /// The rung ladder `cfg` selects: the sufficient portfolio alone
+    /// (sufficient_only), the portfolio then the exact test on an
+    /// undecided verdict (cheap_first), or the exact test alone.
+    [[nodiscard]] sched_result test(const resource_interface& iface) const;
+
+    /// utilization(tasks), computed once.
+    [[nodiscard]] double utilization() const { return u_; }
+
+private:
+    struct breakpoint {
+        std::uint64_t period;
+        double u_acc; ///< utilization of every task with T_i <= period
+    };
+
+    [[nodiscard]] sched_result
+    sufficient(const resource_interface& iface) const;
+    [[nodiscard]] sched_result exact(const resource_interface& iface) const;
+    [[nodiscard]] bool fails_necessary(const resource_interface& iface) const;
+
+    const task_set& tasks_;
+    const sched_test_config& cfg_;
+    double u_;
+    double mu_;
+    std::uint64_t burst_;
+    std::uint64_t min_period_ = 0; ///< over tasks with T_i, C_i > 0
+    std::vector<breakpoint> breakpoints_;
+};
+
 /// Checks dbf(t, tasks) <= sbf(t, iface) for all t < beta (sufficient by
 /// Theorem 1 for all t). Requires iface.bandwidth() > utilization(tasks)
 /// as a necessary precondition; returns unschedulable when violated.
 /// With cfg.sufficient_only set, delegates to is_schedulable_sufficient.
+/// A one-shot sched_kernel; prepare one to test many interfaces.
 [[nodiscard]] sched_result is_schedulable(const task_set& tasks,
                                           const resource_interface& iface,
                                           const sched_test_config& cfg = {});
@@ -115,7 +170,9 @@ struct sched_test_config {
 ///
 /// Sound in both directions but incomplete: returns `aborted` when no
 /// test decides (callers treat that as unschedulable, conservatively).
-/// Work is O(n log n) in the task count with no dependence on beta.
+/// Work is an O(n log n) prepare (sorting the periods), then O(n) per
+/// probed interface, with no dependence on beta; a sched_kernel pays the
+/// prepare once for all its probes.
 [[nodiscard]] sched_result
 is_schedulable_sufficient(const task_set& tasks,
                           const resource_interface& iface,

@@ -246,15 +246,6 @@ select_tree_interfaces(const std::vector<task_set>& client_tasks,
     return sel;
 }
 
-std::uint32_t update_client_tasks(tree_selection& sel,
-                                  std::vector<task_set>& client_tasks,
-                                  std::uint32_t client,
-                                  task_set new_tasks,
-                                  const analysis_context& ctx) {
-    return reselect_client_path(sel, client_tasks, client,
-                                std::move(new_tasks), ctx);
-}
-
 client_update
 evaluate_client_update(const tree_selection& selection,
                        const std::vector<task_set>& client_tasks,

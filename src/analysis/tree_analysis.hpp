@@ -131,16 +131,6 @@ evaluate_client_update(const tree_selection& selection,
 void apply_client_update(client_update&& update, tree_selection& selection,
                          std::vector<task_set>& client_tasks);
 
-/// Deprecated mutating form: evaluates and applies in one step on the
-/// committed state. Not re-entrant (mutates in place); new code should
-/// call evaluate_client_update + apply_client_update.
-[[deprecated("use evaluate_client_update + apply_client_update")]]
-std::uint32_t update_client_tasks(tree_selection& selection,
-                                  std::vector<task_set>& client_tasks,
-                                  std::uint32_t client,
-                                  task_set new_tasks,
-                                  const analysis_context& ctx = {});
-
 /// FNV-1a signature of everything an incremental reselection for `client`
 /// reads from the committed state: the tree shape, the client id, the
 /// total client utilization (every selector's level-utilization context),

@@ -1,0 +1,319 @@
+// The prepared schedulability kernel against the reference enumeration:
+// materialize every dbf step point up to the Theorem 1 horizon, sort them,
+// and compare dbf with the maintenance-corrected sbf at each one. The
+// kernel must reproduce the reference's verdicts AND its sched_test_stats
+// counts exactly -- the counts price the hardware selector's modelled
+// reconfiguration latency, so they are model outputs, not telemetry.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "analysis/schedulability.hpp"
+#include "analysis/tree_analysis.hpp"
+#include "sim/rng.hpp"
+
+namespace bluescale::analysis {
+namespace {
+
+std::uint64_t reference_horizon(double beta) {
+    if (!(beta < 0x1p64)) return std::numeric_limits<std::uint64_t>::max();
+    return static_cast<std::uint64_t>(std::ceil(beta)) + 1;
+}
+
+/// The shared necessary filters; true when one proves unschedulability.
+bool reference_fails_necessary(const task_set& tasks,
+                               const resource_interface& iface,
+                               const sched_test_config& cfg) {
+    if (iface.period == 0 || iface.budget == 0) return true;
+    const maintenance_model& maint = cfg.maintenance;
+    if (iface.bandwidth() * (1.0 - maint.utilization()) <=
+        utilization(tasks)) {
+        return true;
+    }
+    const std::uint64_t blackout = 2 * (iface.period - iface.budget);
+    for (const auto& task : tasks) {
+        if (task.wcet > 0 && task.period < blackout + task.wcet &&
+            maintenance_sbf(task.period, iface, maint) < task.wcet) {
+            return true;
+        }
+    }
+    return false;
+}
+
+sched_result reference_sufficient(const task_set& tasks,
+                                  const resource_interface& iface,
+                                  const sched_test_config& cfg) {
+    if (cfg.stats != nullptr) ++cfg.stats->tests_run;
+    if (tasks.empty()) return sched_result::schedulable;
+    if (reference_fails_necessary(tasks, iface, cfg)) {
+        return sched_result::unschedulable;
+    }
+    const maintenance_model& maint = cfg.maintenance;
+    const double u = utilization(tasks);
+    const double beta = maintenance_beta(iface, u, maint);
+    std::vector<std::pair<std::uint64_t, double>> steps;
+    for (const auto& task : tasks) {
+        if (task.wcet == 0 || task.period == 0) continue;
+        steps.emplace_back(task.period, task.utilization());
+    }
+    std::sort(steps.begin(), steps.end());
+    if (steps.empty() || static_cast<double>(steps.front().first) > beta) {
+        return sched_result::schedulable;
+    }
+    const double bw = iface.bandwidth();
+    const double mu = maint.utilization();
+    const double offset =
+        static_cast<double>(maint.burst()) +
+        static_cast<double>(2 * (iface.period - iface.budget));
+    double u_acc = 0.0;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        u_acc += steps[i].second;
+        if (i + 1 < steps.size() && steps[i + 1].first == steps[i].first) {
+            continue;
+        }
+        if (cfg.stats != nullptr) ++cfg.stats->points_checked;
+        const auto p = static_cast<double>(steps[i].first);
+        if (u_acc * p > bw * ((1.0 - mu) * p - offset)) {
+            return sched_result::aborted;
+        }
+    }
+    return sched_result::schedulable;
+}
+
+sched_result reference_exact(const task_set& tasks,
+                             const resource_interface& iface,
+                             const sched_test_config& cfg) {
+    if (cfg.stats != nullptr) ++cfg.stats->tests_run;
+    if (tasks.empty()) return sched_result::schedulable;
+    if (reference_fails_necessary(tasks, iface, cfg)) {
+        return sched_result::unschedulable;
+    }
+    const std::uint64_t horizon = reference_horizon(
+        maintenance_beta(iface, utilization(tasks), cfg.maintenance));
+    std::uint64_t point_estimate = 0;
+    for (const auto& task : tasks) {
+        if (task.period == 0 || task.wcet == 0) continue;
+        point_estimate += horizon / task.period;
+        if (point_estimate > cfg.max_test_points) {
+            return sched_result::aborted;
+        }
+    }
+    for (const std::uint64_t t : dbf_step_points(tasks, horizon)) {
+        if (cfg.stats != nullptr) ++cfg.stats->points_checked;
+        if (dbf(t, tasks) > maintenance_sbf(t, iface, cfg.maintenance)) {
+            return sched_result::unschedulable;
+        }
+    }
+    return sched_result::schedulable;
+}
+
+sched_result reference_test(const task_set& tasks,
+                            const resource_interface& iface,
+                            const sched_test_config& cfg) {
+    if (cfg.sufficient_only) return reference_sufficient(tasks, iface, cfg);
+    if (cfg.cheap_first) {
+        const sched_result quick = reference_sufficient(tasks, iface, cfg);
+        if (quick != sched_result::aborted) {
+            if (cfg.stats != nullptr) ++cfg.stats->ladder_cheap_decided;
+            return quick;
+        }
+        if (cfg.stats != nullptr) ++cfg.stats->ladder_exact_fallbacks;
+    }
+    return reference_exact(tasks, iface, cfg);
+}
+
+/// Small task sets with the edge cases the kernel must agree on: shared
+/// periods (one breakpoint per distinct period), zero-wcet and
+/// zero-period tasks.
+task_set random_tasks(rng& r) {
+    task_set tasks;
+    const auto n = 1 + r.pick(6);
+    const std::uint64_t pool[] = {12, 30, 30, 60, 90, 120};
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t roll = r.pick(20);
+        if (roll == 0) {
+            tasks.push_back({0, r.pick(2)});
+            continue;
+        }
+        const std::uint64_t period =
+            roll < 6 ? pool[r.pick(6)] : 2 + r.uniform_u64(0, 400);
+        const std::uint64_t wcet =
+            roll == 1 ? 0 : 1 + r.uniform_u64(0, period / 12);
+        tasks.push_back({period, wcet});
+    }
+    return tasks;
+}
+
+/// Interfaces around the interesting region: budgets just above the
+/// utilization (Theorem 1's bound beta explodes there) as well as
+/// arbitrary and degenerate ones.
+resource_interface random_interface(rng& r, double u) {
+    const std::uint64_t pi = 1 + r.uniform_u64(0, 63);
+    switch (r.pick(8)) {
+    case 0: return {pi, 0};
+    case 1: return {r.pick(4) == 0 ? 0 : pi, pi};
+    case 2:
+    case 3:
+    case 4: {
+        const auto floor_budget = static_cast<std::uint64_t>(
+            std::floor(u * static_cast<double>(pi)));
+        return {pi, std::min(pi, floor_budget + 1 + r.pick(2))};
+    }
+    default: return {pi, 1 + r.uniform_u64(0, pi - 1)};
+    }
+}
+
+maintenance_model random_maintenance(rng& r) {
+    maintenance_model m;
+    if (r.pick(2) == 0) return m;
+    const auto ops = 1 + r.pick(2);
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        const std::uint64_t period = 50 + r.uniform_u64(0, 950);
+        m.ops.push_back({period, 1 + r.uniform_u64(0, 4)});
+    }
+    return m;
+}
+
+const char* mode_name(const sched_test_config& cfg) {
+    if (cfg.sufficient_only) return "sufficient_only";
+    return cfg.cheap_first ? "cheap_first" : "exact";
+}
+
+TEST(schedulability_kernel, matches_reference_enumeration) {
+    rng r(2024);
+    const std::uint64_t caps[] = {8, 64, 512, 1u << 14};
+    std::uint64_t verdicts[3] = {};
+    std::uint64_t points = 0;
+    for (int set = 0; set < 2500; ++set) {
+        const task_set tasks = random_tasks(r);
+        sched_test_config cfg;
+        cfg.maintenance = random_maintenance(r);
+        cfg.max_test_points = caps[r.pick(4)];
+        const auto mode = r.pick(3);
+        cfg.sufficient_only = mode == 1;
+        cfg.cheap_first = mode == 2;
+
+        // One kernel probes several interfaces, as interface selection
+        // does; the counters accumulate across its probes.
+        sched_test_stats got;
+        sched_test_stats want;
+        sched_test_config kernel_cfg = cfg;
+        kernel_cfg.stats = &got;
+        sched_test_config reference_cfg = cfg;
+        reference_cfg.stats = &want;
+        const sched_kernel kernel(tasks, kernel_cfg);
+        for (int probe = 0; probe < 4; ++probe) {
+            const auto iface = random_interface(r, utilization(tasks));
+            const auto verdict = kernel.test(iface);
+            ASSERT_EQ(verdict, reference_test(tasks, iface, reference_cfg))
+                << "set " << set << " probe " << probe << " ("
+                << mode_name(cfg) << ") on (" << iface.period << ", "
+                << iface.budget << ")";
+            ASSERT_EQ(got, want) << "set " << set << " probe " << probe
+                                 << " (" << mode_name(cfg) << ")";
+            ++verdicts[static_cast<int>(verdict)];
+        }
+        points += got.points_checked;
+
+        // The one-shot wrappers run the same kernel.
+        const auto iface = random_interface(r, utilization(tasks));
+        sched_test_stats once;
+        sched_test_stats once_want;
+        kernel_cfg.stats = &once;
+        reference_cfg.stats = &once_want;
+        ASSERT_EQ(is_schedulable(tasks, iface, kernel_cfg),
+                  reference_test(tasks, iface, reference_cfg));
+        ASSERT_EQ(is_schedulable_sufficient(tasks, iface, kernel_cfg),
+                  reference_sufficient(tasks, iface, reference_cfg));
+        ASSERT_EQ(once, once_want) << "set " << set;
+    }
+    // Every verdict and the point walk itself must be exercised.
+    EXPECT_GT(verdicts[static_cast<int>(sched_result::schedulable)], 500u);
+    EXPECT_GT(verdicts[static_cast<int>(sched_result::unschedulable)], 500u);
+    EXPECT_GT(verdicts[static_cast<int>(sched_result::aborted)], 100u);
+    EXPECT_GT(points, 4'000u);
+}
+
+TEST(schedulability_kernel, exploding_bound_saturates_and_aborts) {
+    // Utilization 1/3 on a bandwidth one or two ulps above it: beta ~ 1e31
+    // is far past 2^64, so ceil(beta) has no integer value. The horizon
+    // saturates and the point-estimate cap aborts the test.
+    const task_set tasks{{9'000'000'000'000'000, 3'000'000'000'000'000}};
+    const resource_interface iface{2'999'999'999'999'999,
+                                   1'000'000'000'000'000};
+    ASSERT_GT(maintenance_beta(iface, utilization(tasks), {}), 0x1p64);
+    sched_test_stats st;
+    sched_test_config cfg;
+    cfg.max_test_points = 1000;
+    cfg.stats = &st;
+    EXPECT_EQ(is_schedulable(tasks, iface, cfg), sched_result::aborted);
+    EXPECT_EQ(st.tests_run, 1u);
+    EXPECT_EQ(st.points_checked, 0u);
+}
+
+std::uint64_t selection_digest(const tree_selection& sel) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(sel.feasible ? 1 : 0);
+    for (const auto& level : sel.levels) {
+        for (const auto& se : level) {
+            for (const auto& port : se.ports) {
+                mix(port ? 1 : 0);
+                if (port) {
+                    mix(port->period);
+                    mix(port->budget);
+                }
+            }
+        }
+    }
+    return h;
+}
+
+TEST(schedulability_kernel, depth3_selection_work_is_pinned) {
+    // 64 clients (a depth-3 tree), serial uncached selection, exact-only
+    // and cheap-first. The counters and the selection were recorded
+    // before the kernel was prepared once per selection; analysis speedups
+    // must not move them.
+    rng r(31);
+    std::vector<task_set> clients(64);
+    for (auto& tasks : clients) {
+        const auto n = 1 + r.pick(3);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const std::uint64_t period = 400 + r.uniform_u64(0, 1600);
+            tasks.push_back({period, 1 + r.uniform_u64(0, period / 300)});
+        }
+    }
+    constexpr std::uint64_t k_digest = 0x6fe47445907fe1a6ull;
+
+    sched_test_stats exact;
+    analysis_context ctx;
+    ctx.sched.stats = &exact;
+    const auto sel = select_tree_interfaces(clients, ctx);
+    EXPECT_TRUE(sel.feasible);
+    EXPECT_EQ(selection_digest(sel), k_digest);
+    EXPECT_EQ(exact.tests_run, 375'604u);
+    EXPECT_EQ(exact.points_checked, 71'656u);
+
+    sched_test_stats ladder;
+    ctx.sched.stats = &ladder;
+    ctx.sched.cheap_first = true;
+    EXPECT_EQ(selection_digest(select_tree_interfaces(clients, ctx)),
+              k_digest);
+    EXPECT_EQ(ladder.tests_run, 421'300u);
+    EXPECT_EQ(ladder.points_checked, 122'819u);
+    EXPECT_EQ(ladder.ladder_cheap_decided, 329'908u);
+    EXPECT_EQ(ladder.ladder_exact_fallbacks, 45'696u);
+}
+
+} // namespace
+} // namespace bluescale::analysis

@@ -7,8 +7,8 @@
 namespace bluescale::analysis {
 namespace {
 
-/// evaluate + apply in one step (the migrated shape of the deprecated
-/// mutating update_client_tasks); returns the SEs-changed count.
+/// evaluate_client_update + apply_client_update in one step; returns the
+/// SEs-changed count.
 std::uint32_t apply_update(tree_selection& sel,
                            std::vector<task_set>& clients,
                            std::uint32_t client, task_set new_tasks) {
