@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "analysis/interface_selection.hpp"
 #include "analysis/schedulability.hpp"
@@ -40,9 +42,10 @@ private:
 };
 
 /// Per-simulated-cycle cost of the event engine's schedule pop/advance:
-/// period 1 steps every cycle (pure per-step engine overhead -- the due
-/// scan, horizon refresh, commit scan); larger periods shift the work to
-/// the idle-skip path, so items/s shows how cheap a slept-over cycle is.
+/// period 1 steps every cycle (pure per-step engine overhead -- timer
+/// release, due-bit walk, timer re-key, commit); larger periods shift the
+/// work to the idle-skip path, so items/s shows how cheap a slept-over
+/// cycle is.
 void bm_event_engine_pop_advance(benchmark::State& state) {
     const auto period = static_cast<cycle_t>(state.range(0));
     constexpr cycle_t k_cycles = 65'536;
@@ -60,11 +63,36 @@ void bm_event_engine_pop_advance(benchmark::State& state) {
 }
 BENCHMARK(bm_event_engine_pop_advance)->Arg(1)->Arg(16)->Arg(256);
 
-/// The two run_until dispatch flavours over an every-cycle predicate:
-/// the template overload inlines the lambda into the stepping loop; the
-/// std::function overload pays a type-erased call per evaluation. The
-/// gap between these two cases is the satellite the template overload
-/// was added to close.
+/// The deep-tree shape: many components asleep on long, staggered
+/// horizons beside one that runs every cycle, so every cycle is stepped
+/// but almost nothing is due. Per-cycle cost must track the few due
+/// components, not the sleeper count.
+void bm_event_engine_sleepers(benchmark::State& state) {
+    const auto sleepers = static_cast<std::size_t>(state.range(0));
+    constexpr cycle_t k_cycles = 65'536;
+    std::uint64_t ticks = 0;
+    for (auto _ : state) {
+        simulator sim(simulator::engine::event);
+        std::vector<std::unique_ptr<periodic_probe>> probes;
+        for (std::size_t i = 0; i < sleepers; ++i) {
+            probes.push_back(std::make_unique<periodic_probe>(
+                static_cast<cycle_t>(1'000 + 37 * i)));
+            sim.add(*probes.back());
+        }
+        periodic_probe busy(1);
+        sim.add(busy);
+        sim.run(k_cycles);
+        ticks += busy.ticks();
+    }
+    benchmark::DoNotOptimize(ticks);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(k_cycles));
+}
+BENCHMARK(bm_event_engine_sleepers)->Arg(256);
+
+/// Two run_until predicate flavours over an every-cycle predicate: a
+/// lambda inlines into the stepping loop; a std::function (accepted by
+/// the same template) pays a type-erased call per evaluation.
 void bm_run_until_template_predicate(benchmark::State& state) {
     constexpr std::uint64_t k_target = 32'768;
     for (auto _ : state) {

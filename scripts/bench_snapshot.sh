@@ -19,7 +19,8 @@
 #   $ scripts/bench_snapshot.sh --check [build-dir]  # CI perf-smoke gate
 #
 # --check reruns the benches and fails (exit 1) when an idle-heavy engine
-# case (the event scheduler's pop/advance and predicate-dispatch paths)
+# case (the event scheduler's pop/advance, many-sleeper and
+# predicate-dispatch paths)
 # or an analysis-kernel case (schedulability test, interface and tree
 # selection) regresses more than 25% against the committed snapshot, or
 # when a megascale work counter grows more than 25% over the committed
@@ -60,6 +61,7 @@ BASELINE = "bm_sbf"
 # drift with model features and are recorded for trend-reading, not gated.
 GUARDED_PREFIXES = (
     "bm_event_engine_pop_advance",
+    "bm_event_engine_sleepers",
     "bm_run_until_template_predicate",
     "bm_schedulability_test",
     "bm_schedulability_sufficient",

@@ -6,7 +6,10 @@
 # sets at runtime. A clean run demonstrates the rollback paths leak and
 # corrupt nothing. The analysis suites run too: the schedulability
 # kernel's bound arithmetic converts doubles to integers, which the
-# float-cast-overflow check (added by the CMake preset) guards.
+# float-cast-overflow check (added by the CMake preset) guards. The
+# engine suites run the wake schedule's bit and heap indexing: its
+# differential test, the simulator and BlueScale fabric tests, and the
+# event-vs-lockstep equivalence runs (up to 258 slots).
 #
 #   $ scripts/check_asan_ubsan.sh [build-dir]
 set -euo pipefail
@@ -32,8 +35,10 @@ analysis_suites+=':interface_selection.*:min_budget_for_period.*'
 analysis_suites+=':select_interface.*:*selection_optimality*'
 analysis_suites+=':theorem2_max_period.*:selection_ladder.*:*ladder_*'
 analysis_suites+=':tree_analysis*:selection_failure_report.*:maintenance*'
+engine_suites='simulator.*:wake_schedule.*:*wake_schedule_diff.*'
+engine_suites+=':engine_equivalence.*'
 "$build_dir/tests/bluescale_tests" \
-    --gtest_filter="parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*:$analysis_suites"
+    --gtest_filter="parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*:$engine_suites:$analysis_suites"
 
 # The whole resilience suite: fault campaigns, retries, health monitor,
 # admission control, transactional rollback, watchdog shedding, and the

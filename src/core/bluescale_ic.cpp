@@ -1,6 +1,7 @@
 #include "core/bluescale_ic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace bluescale::core {
@@ -22,28 +23,28 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
         }
     }
 
+    level_begin_.assign(depth + 2, 0);
+    for (std::uint32_t l = 0; l <= depth; ++l) {
+        level_begin_[l + 1] = level_begin_[l] + shape_.ses_at_level(l);
+    }
     if (cfg_.responses == response_model::demux_network) {
-        resp_q_.resize(depth + 1);
-        for (std::uint32_t l = 0; l <= depth; ++l) {
-            const std::uint32_t count = shape_.ses_at_level(l);
-            resp_q_[l].reserve(count);
-            for (std::uint32_t y = 0; y < count; ++y) {
-                resp_q_[l].emplace_back(cfg_.response_buffer_depth);
-            }
+        resp_q_.reserve(shape_.total_ses());
+        for (std::uint32_t i = 0; i < shape_.total_ses(); ++i) {
+            resp_q_.emplace_back(cfg_.response_buffer_depth);
         }
+        resp_staged_.assign((shape_.total_ses() + 63) / 64, 0);
+        resp_visible_.assign(resp_staged_.size(), 0);
     }
 
     // Every SE wake bubbles up to the fabric so the simulator re-arms it
     // (client pushes reach the SE buffers directly, bypassing tick()).
-    // The flat view + SoA wake schedule keep the per-cycle walks on
-    // sequential memory; SEs start armed (wake_at == 0).
-    se_ticked_.assign(shape_.total_ses(), 0);
+    // SEs start due.
     se_flat_.reserve(shape_.total_ses());
-    se_wake_.assign(shape_.total_ses(), 0);
+    se_schedule_.grow_to(shape_.total_ses());
     for (auto& level : levels_) {
         for (auto& se : level) {
             se->set_wake_hook(sim::wake_of(*this));
-            se->bind_wake_cell(&se_wake_[se_flat_.size()]);
+            se_schedule_.bind(se_flat_.size(), *se);
             se_flat_.push_back(se.get());
         }
     }
@@ -145,20 +146,31 @@ std::uint32_t bluescale_ic::depth_of(client_id_t) const {
     return shape_.leaf_level + 1;
 }
 
+void bluescale_ic::push_response(std::uint32_t i, mem_request r) {
+    resp_q_[i].push(std::move(r));
+    resp_staged_[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+
 void bluescale_ic::tick_response_network(cycle_t now) {
     // Pull finished transactions into the root SE's response port.
-    while (resp_q_[0][0].can_push() && memory_has_response()) {
-        resp_q_[0][0].push(pop_memory_response());
+    while (resp_q_[0].can_push() && memory_has_response()) {
+        push_response(0, pop_memory_response());
         ++resp_in_network_;
     }
 
-    // Each SE forwards one response per cycle down its demux.
+    // Each SE with a visible response forwards one per cycle down its
+    // demux, level-major. Forwarded responses are staged at the child
+    // and only become visible at commit, so each word can be walked
+    // from a snapshot.
     const std::uint32_t depth = shape_.leaf_level;
-    for (std::uint32_t l = 0; l <= depth; ++l) {
-        for (std::uint32_t y = 0; y < resp_q_[l].size(); ++y) {
-            auto& q = resp_q_[l][y];
-            if (q.empty()) continue;
-            const client_id_t c = q.front().client;
+    std::uint32_t l = 0;
+    for (std::size_t w = 0; w < resp_visible_.size(); ++w) {
+        for (std::uint64_t bits = resp_visible_[w]; bits != 0;
+             bits &= bits - 1) {
+            const auto i = static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+            while (i >= level_begin_[l + 1]) ++l;
+            auto& q = resp_q_[i];
             if (l == depth) {
                 // Leaf demux: hand the response to the client port.
                 mem_request r = q.pop();
@@ -166,38 +178,34 @@ void bluescale_ic::tick_response_network(cycle_t now) {
                 r.complete_cycle = now;
                 deliver_response_now(std::move(r));
             } else {
-                const std::uint32_t port = response_port(l, c);
+                const std::uint32_t port = response_port(l, q.front().client);
                 const std::uint32_t child =
-                    analysis::quadtree_shape::child_order(y, port);
-                if (resp_q_[l + 1][child].can_push()) {
-                    resp_q_[l + 1][child].push(q.pop());
-                }
+                    level_begin_[l + 1] +
+                    analysis::quadtree_shape::child_order(
+                        i - level_begin_[l], port);
+                if (!resp_q_[child].can_push()) continue;
+                push_response(child, q.pop());
             }
+            if (q.empty()) resp_visible_[w] &= ~(bits & (~bits + 1));
         }
     }
 }
 
 void bluescale_ic::tick(cycle_t now) {
     now_ = now;
-    // Selective SE walk: the simulator's wake/horizon protocol, one level
-    // down. An element whose cached wakeup is still in the future would
-    // tick as a pure no-op (its own next_event() said so, and anything
-    // that changed since then fired a wake), so skipping it is exact.
-    // Lockstep ticks everything and skips the horizon bookkeeping.
+    // Selective SE walk: the simulator's wake schedule, one level down.
+    // An element that is not due would tick as a pure no-op (its own
+    // next_event() said so, and anything that changed since then fired a
+    // wake), so skipping it is exact. Lockstep ticks everything and skips
+    // the horizon bookkeeping.
     if (!selective_) {
         for (scale_element* se : se_flat_) se->tick(now);
     } else {
-        for (std::size_t i = 0; i < se_flat_.size(); ++i) {
-            if (se_wake_[i] <= now) {
-                scale_element* se = se_flat_[i];
-                se->tick(now);
-                // detlint:allow(cycle-step): wake-protocol floor clamp
-                se_wake_[i] = std::max(now + 1, se->next_event(now));
-                se_ticked_[i] = 1;
-            } else {
-                se_ticked_[i] = 0;
-            }
-        }
+        se_schedule_.sweep(now, [this, now](std::size_t i) {
+            scale_element* se = se_flat_[i];
+            se->tick(now);
+            return se->next_event(now);
+        });
     }
     if (cfg_.responses == response_model::demux_network) {
         // A provable no-op with nothing to pull and nothing en route.
@@ -214,26 +222,29 @@ void bluescale_ic::commit() {
     if (!selective_) {
         for (scale_element* se : se_flat_) se->commit();
     } else {
-        for (std::size_t i = 0; i < se_flat_.size(); ++i) {
-            // An element woken after the walk (e.g. a child staged a push
-            // into its buffers this cycle) must still latch on this edge.
-            if (se_ticked_[i] || se_wake_[i] <= now_) {
-                se_flat_[i]->commit();
-            }
-        }
+        // An element that ticked, or was woken after its turn in the walk
+        // (e.g. a child staged a push into its buffers this cycle), may
+        // hold staged pushes; every other element's edge is a no-op.
+        se_schedule_.for_each_ticked_or_due(
+            [this](std::size_t i) { se_flat_[i]->commit(); });
     }
-    for (auto& level : resp_q_) {
-        for (auto& q : level) q.commit();
+    for (std::size_t w = 0; w < resp_staged_.size(); ++w) {
+        for (std::uint64_t bits = resp_staged_[w]; bits != 0;
+             bits &= bits - 1) {
+            resp_q_[w * 64 + static_cast<std::size_t>(
+                                 std::countr_zero(bits))].commit();
+        }
+        resp_visible_[w] |= resp_staged_[w];
+        resp_staged_[w] = 0;
     }
 }
 
 cycle_t bluescale_ic::next_event(cycle_t now) const {
-    // Request path: the earliest cached SE wakeup (the same horizons the
-    // selective walk in tick() trusts). Requests parked at the memory
+    // Request path: the earliest SE wakeup (the same schedule the
+    // selective walk in tick() runs). Requests parked at the memory
     // controller hold no SE awake; their responses re-arm the fabric via
     // the attach_memory() wake.
-    cycle_t due = k_cycle_never;
-    for (const cycle_t at : se_wake_) due = std::min(due, at);
+    cycle_t due = se_schedule_.next_due();
     // Response path: the demux network forwards one response per SE per
     // cycle while anything is en route; the delay-line model exposes its
     // horizon directly.
@@ -251,14 +262,14 @@ void bluescale_ic::reset() {
     interconnect::reset();
     now_ = 0;
     resp_in_network_ = 0;
-    se_ticked_.assign(shape_.total_ses(), 0);
+    se_schedule_.clear_ticked();
     for (auto& w : link_faults_) w.reset();
     for (auto& level : levels_) {
         for (auto& se : level) se->reset();
     }
-    for (auto& level : resp_q_) {
-        for (auto& q : level) q.clear();
-    }
+    for (auto& q : resp_q_) q.clear();
+    std::fill(resp_staged_.begin(), resp_staged_.end(), 0);
+    std::fill(resp_visible_.begin(), resp_visible_.end(), 0);
 }
 
 } // namespace bluescale::core

@@ -16,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "interconnect/interconnect.hpp"
+#include "sim/wake_schedule.hpp"
 
 namespace bluescale::core {
 
@@ -65,11 +66,12 @@ public:
     /// tree sleeps until a client push or a scheduled SE stall window.
     [[nodiscard]] cycle_t next_event(cycle_t now) const override;
 
-    /// The SE walk inside tick() skips elements whose cached wakeup lies
-    /// in the future, using the same wake/horizon protocol as the
-    /// simulator -- exact by the same argument, and active in both
-    /// engines. The testbench switches it off under BLUESCALE_LOCKSTEP so
-    /// the fallback engine is a true tick-everything reference.
+    /// The SE walk inside tick() runs the simulator's wake schedule one
+    /// level down (sim::wake_schedule over the SEs, level-major): only
+    /// elements that are due tick -- exact by the same argument as the
+    /// engine's, and active in both engines. The testbench switches it
+    /// off under BLUESCALE_LOCKSTEP so the fallback engine is a true
+    /// tick-everything reference.
     void set_selective_ticking(bool on) { selective_ = on; }
 
     /// Re-homes every SE's counters into `reg` ("se.<level>.<order>/...")
@@ -88,11 +90,7 @@ public:
     /// health monitor: root is 0, then level 1 left-to-right, and so on.
     [[nodiscard]] std::uint32_t se_linear_index(std::uint32_t level,
                                                std::uint32_t order) const {
-        std::uint32_t base = 0;
-        for (std::uint32_t l = 0; l < level; ++l) {
-            base += shape_.ses_at_level(l);
-        }
-        return base + order;
+        return level_begin_[level] + order;
     }
 
     [[nodiscard]] const analysis::quadtree_shape& shape() const {
@@ -129,17 +127,18 @@ private:
 
     /// Demux-network step: move responses one SE hop toward the clients.
     void tick_response_network(cycle_t now);
+    /// Stages `r` at flat response port `i`.
+    void push_response(std::uint32_t i, mem_request r);
 
     bluescale_config cfg_;
     analysis::quadtree_shape shape_;
+    /// level_begin_[l]: se_linear_index(l, 0); one past the leaf level
+    /// holds total_ses().
+    std::vector<std::uint32_t> level_begin_;
     /// Clock latched at tick() entry so the SE sink lambdas (which have
     /// no time argument) can evaluate link-fault windows.
     cycle_t now_ = 0;
     bool selective_ = true;
-    /// Level-major flags: did SE i tick this cycle? commit() re-checks
-    /// the wakeup so an element woken after the walk still latches its
-    /// staged pushes on the same edge.
-    std::vector<std::uint8_t> se_ticked_;
     /// Responses inside resp_q_ (visible + staged): incremented when the
     /// root pulls a completion from the memory, decremented at leaf
     /// delivery. Gates the response-network walk in both engines (a
@@ -149,15 +148,19 @@ private:
     std::vector<sim::fault_window> link_faults_;
     /// levels_[l][y] owns SE(l, y); level 0 is the root.
     std::vector<std::vector<std::unique_ptr<scale_element>>> levels_;
-    /// Level-major flat view of every SE, paired with the SoA wake
-    /// schedule se_wake_ (each SE's wake slot is relocated into it via
-    /// component::bind_wake_cell), so the selective walk and the horizon
-    /// scan in next_event() read sequential memory.
+    /// Level-major flat view of every SE; slot i of se_schedule_ is
+    /// se_flat_[i] (each SE's wake() is bound into it).
     std::vector<scale_element*> se_flat_;
-    std::vector<cycle_t> se_wake_;
-    /// resp_q_[l][y]: responses waiting at SE(l, y)'s provider-side
-    /// response port (demux_network model only).
-    std::vector<std::vector<latched_queue<mem_request>>> resp_q_;
+    sim::wake_schedule se_schedule_;
+    /// Level-major flat response ports (demux_network model only):
+    /// resp_q_[i] holds the responses waiting at SE i's provider-side
+    /// response port. The bitsets mark ports with staged pushes (to
+    /// commit) and with visible responses (to forward), so the commit
+    /// and the demux walk touch only non-empty ports, in level-major
+    /// order.
+    std::vector<latched_queue<mem_request>> resp_q_;
+    std::vector<std::uint64_t> resp_staged_;
+    std::vector<std::uint64_t> resp_visible_;
 };
 
 } // namespace bluescale::core

@@ -1,6 +1,7 @@
 // Base class for clocked hardware components.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "sim/types.hpp"
@@ -64,6 +65,7 @@ public:
     /// call this when they hand the component new work. Safe to call at
     /// any time, including on an already-armed component.
     void wake() {
+        *wake_word_ |= wake_mask_;
         *wake_cell_ = 0;
         wake_hook_.fire();
     }
@@ -74,25 +76,26 @@ public:
     /// it).
     void set_wake_hook(sim::wake_hook hook) { wake_hook_ = hook; }
 
-    /// The simulator's cached wakeup time for this component (0 = armed).
-    [[nodiscard]] cycle_t wake_at() const { return *wake_cell_; }
-    void set_wake_at(cycle_t at) { *wake_cell_ = at; }
-
-    /// Relocates this component's wake slot into an engine-owned
-    /// contiguous schedule array (structure-of-arrays layout), so the
-    /// per-cycle due/commit scans read sequential memory instead of
-    /// chasing one cache line per component. The caller must have copied
-    /// the current wake time into `cell` first, and must re-bind after
-    /// relocating the array. Components default to private storage.
-    void bind_wake_cell(cycle_t* cell) { wake_cell_ = cell; }
+    /// Binds wake() into an engine-owned sim::wake_schedule: wake() sets
+    /// `mask` in the due bitset word `word` and zeroes the schedule's
+    /// shared pending cell `cell`. Components default to private storage.
+    void bind_wake_cell(cycle_t* cell, std::uint64_t* word,
+                        std::uint64_t mask) {
+        wake_cell_ = cell;
+        wake_word_ = word;
+        wake_mask_ = mask;
+    }
 
     [[nodiscard]] const std::string& name() const { return name_; }
 
 private:
     std::string name_;
     bool latches_ = false;
-    cycle_t own_wake_ = 0;
-    cycle_t* wake_cell_ = &own_wake_;
+    cycle_t own_cell_ = 0;
+    std::uint64_t own_word_ = 0;
+    cycle_t* wake_cell_ = &own_cell_;
+    std::uint64_t* wake_word_ = &own_word_;
+    std::uint64_t wake_mask_ = 1;
     sim::wake_hook wake_hook_{};
 };
 

@@ -58,72 +58,63 @@ void simulator::sync_profile_handles() {
     }
 }
 
-void simulator::rebind_wake_cells() {
-    // Read every current wake time BEFORE relocating storage: a
-    // component added earlier already points into the old array, and the
-    // move-assign below frees it.
-    std::vector<cycle_t> fresh(components_.size());
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        fresh[i] = components_[i]->wake_at();
-    }
-    wake_cells_ = std::move(fresh);
+void simulator::rebind_wake_schedule() {
+    schedule_.grow_to(components_.size());
     committers_.clear();
     // One reservation per assembly change: the rebind runs at add() time
-    // (before stepping resumes), so the commit scan never grows storage
+    // (before stepping resumes), so the commit phase never grows storage
     // while the simulation is running.
     committers_.reserve(components_.size());
     for (std::size_t i = 0; i < components_.size(); ++i) {
-        components_[i]->bind_wake_cell(&wake_cells_[i]);
+        schedule_.bind(i, *components_[i]);
         if (components_[i]->latches()) committers_.push_back(components_[i]);
     }
-    next_due_cache_ = now_; // conservative until the next commit scan
 }
 
 void simulator::step() {
-    if (trace_ != nullptr) trace_->set_now(now_);
-    const bool lockstep = engine_ == engine::lockstep;
-    if (wake_cells_.size() != components_.size()) rebind_wake_cells();
+    if (schedule_.size() != components_.size()) rebind_wake_schedule();
     if (profiling_) {
-        sync_profile_handles();
-        const obs::stopwatch step_watch;
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            component* c = components_[i];
-            if (lockstep || wake_cells_[i] <= now_) {
-                const obs::stopwatch tick_watch;
-                c->tick(now_);
-                prof_tick_ns_[i].inc(tick_watch.ns());
-                // Lockstep ticks everything next cycle anyway -- paying
-                // for next_event() (or the commit bookkeeping) there
-                // would only slow the fallback.
-                if (!lockstep) {
-                    wake_cells_[i] = std::max(now_ + 1, c->next_event(now_));
-                }
-            }
-        }
-        commit_phase();
-        prof_wall_ns_.inc(step_watch.ns());
-        prof_cycles_.inc();
-        ++now_;
+        step_profiled();
         return;
     }
-    if (lockstep) {
+    if (trace_ != nullptr) trace_->set_now(now_);
+    if (engine_ == engine::lockstep) {
         for (component* c : components_) c->tick(now_);
-        commit_phase();
-        ++now_;
-        return;
-    }
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        if (wake_cells_[i] <= now_) {
+    } else {
+        schedule_.sweep(now_, [this](std::size_t i) {
             component* c = components_[i];
             c->tick(now_);
-            // A self-wake during tick() is absorbed here by contract:
-            // next_event() runs after tick and sees this-cycle state. A
-            // wake from a LATER component's tick lands after this write
-            // and sticks, as it must.
-            wake_cells_[i] = std::max(now_ + 1, c->next_event(now_));
-        }
+            return c->next_event(now_);
+        });
     }
     commit_phase();
+    ++now_;
+}
+
+void simulator::step_profiled() {
+    if (trace_ != nullptr) trace_->set_now(now_);
+    sync_profile_handles();
+    const obs::stopwatch step_watch;
+    if (engine_ == engine::lockstep) {
+        // Lockstep ticks everything next cycle anyway -- paying for
+        // next_event() there would only slow the fallback.
+        for (std::size_t i = 0; i < components_.size(); ++i) {
+            const obs::stopwatch tick_watch;
+            components_[i]->tick(now_);
+            prof_tick_ns_[i].inc(tick_watch.ns());
+        }
+    } else {
+        schedule_.sweep(now_, [this](std::size_t i) {
+            component* c = components_[i];
+            const obs::stopwatch tick_watch;
+            c->tick(now_);
+            prof_tick_ns_[i].inc(tick_watch.ns());
+            return c->next_event(now_);
+        });
+    }
+    commit_phase();
+    prof_wall_ns_.inc(step_watch.ns());
+    prof_cycles_.inc();
     ++now_;
 }
 
@@ -144,12 +135,6 @@ void simulator::commit_phase() {
     // contract, and non-latching components (latches() == false) have no
     // edge to run at all.
     for (component* c : committers_) c->commit();
-    // Fold the min-wakeup reduction for next_due() over the contiguous
-    // cell array: commit() implementations are pure latches (no pushes,
-    // no wakes), so the cells are stable while this scan runs.
-    cycle_t due = k_cycle_never;
-    for (const cycle_t at : wake_cells_) due = std::min(due, at);
-    next_due_cache_ = due;
 }
 
 void simulator::run(cycle_t cycles) {

@@ -1,11 +1,12 @@
 // Hybrid event-driven / cycle-stepped simulation engine.
 //
 // The default engine skips dead time: after every tick the simulator
-// caches each component's next_event() horizon, only re-ticks components
-// whose horizon is due, and -- when every component is idle -- advances
-// the clock straight to the earliest wakeup instead of stepping through
-// empty cycles. Producers re-arm sleeping consumers through sim::wake_hook
-// (queue pushes, supervisor reprogramming), so no work is ever missed.
+// files each component's next_event() horizon in a sim::wake_schedule,
+// only re-ticks components whose horizon is due, and -- when every
+// component is idle -- advances the clock straight to the earliest wakeup
+// instead of stepping through empty cycles. Producers re-arm sleeping
+// consumers through sim::wake_hook (queue pushes, supervisor
+// reprogramming), so no work is ever missed.
 //
 // Setting BLUESCALE_LOCKSTEP=1 in the environment (or constructing with
 // engine::lockstep) falls back to the classic cycle-stepped loop that
@@ -15,13 +16,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/component.hpp"
 #include "sim/types.hpp"
+#include "sim/wake_schedule.hpp"
 
 namespace bluescale {
 
@@ -65,8 +66,9 @@ public:
     /// Opt-in simulator profiling: registers profile-flagged wall-clock
     /// metrics ("profile/sim/cycles", "profile/sim/wall_ns", and
     /// "profile/<component>/tick_ns" per added component) into `reg` and
-    /// starts timing every step. Costs two clock reads per component per
-    /// stepped cycle -- leave off outside profiling runs. Under the event
+    /// starts timing every step. Costs two clock reads per ticked
+    /// component (every component under lockstep) plus two per stepped
+    /// cycle -- leave off outside profiling runs. Under the event
     /// engine "profile/sim/cycles" counts stepped (not skipped) cycles.
     void enable_profiling(obs::registry& reg);
 
@@ -111,42 +113,33 @@ public:
         return false;
     }
 
-    /// Type-erased overload kept for ABI-stable callers (testbench); the
-    /// template above avoids std::function dispatch on the hot loop.
-    bool run_until(const std::function<bool()>& done, cycle_t max_cycles) {
-        return run_until<const std::function<bool()>&>(done, max_cycles);
-    }
-
     /// Advances exactly one cycle (ticking only due components in event
     /// mode, everything in lockstep).
     void step();
 
 private:
+    void step_profiled();
     void sync_profile_handles();
     void commit_phase();
-    /// Rebinds every component's wake slot into wake_cells_ (called when
-    /// components are added, which can relocate the array).
-    void rebind_wake_cells();
+    /// Grows the schedule to cover every added component and rebinds each
+    /// component's wake() into it (growth can relocate its bitset).
+    void rebind_wake_schedule();
 
-    /// Earliest cached wakeup across all components (k_cycle_never when
-    /// everything is quiescent). Computed by the commit scan of the most
-    /// recent step() -- valid because commit() implementations are pure
-    /// latches (they never fire wakes), and only consumed right after a
-    /// step() by the run loops, so out-of-band wakes between runs (e.g.
-    /// campaign injection) can never be skipped over.
-    [[nodiscard]] cycle_t next_due() const { return next_due_cache_; }
+    /// Earliest cycle at which some component is due (k_cycle_never when
+    /// everything is quiescent). Read by the run loops right after a
+    /// step(); commit() implementations are pure latches (they never fire
+    /// wakes), so the value seen there is the one the next step acts on.
+    [[nodiscard]] cycle_t next_due() const { return schedule_.next_due(); }
 
     engine engine_;
     std::vector<component*> components_;
-    /// SoA wake schedule, parallel to components_: each component's wake
-    /// slot is relocated here (component::bind_wake_cell) so the due
-    /// scan, commit scan, and next_due() touch sequential memory.
-    std::vector<cycle_t> wake_cells_;
+    /// Event-engine schedule, one slot per component in components_
+    /// order: due bitset plus timer heap (see sim::wake_schedule).
+    sim::wake_schedule schedule_;
     /// Components whose commit() is a real clock edge (latches() == true);
-    /// the event engine's commit scan calls only these -- the rest are
+    /// the event engine's commit phase calls only these -- the rest are
     /// no-ops by declaration, so skipping them is behaviour-preserving.
     std::vector<component*> committers_;
-    cycle_t next_due_cache_ = 0;
     cycle_t now_ = 0;
     obs::trace_sink* trace_ = nullptr;
     bool profiling_ = false;

@@ -79,6 +79,24 @@ TEST(bluescale_ic, all_clients_served_64) {
     EXPECT_EQ(r.completed.size(), 64u);
 }
 
+TEST(bluescale_ic, all_clients_served_256) {
+    // Depth 4: 85 SEs, so the SE wake schedule spans two 64-bit words.
+    rig r(256);
+    ASSERT_EQ(r.net.total_ses(), 85u);
+    for (client_id_t c = 0; c < 256; ++c) {
+        ASSERT_TRUE(r.net.client_can_accept(c));
+        r.net.client_push(c, req(c, c, 10'000'000, c * 4096));
+    }
+    r.run_until_drained(400'000);
+    ASSERT_EQ(r.completed.size(), 256u);
+    std::set<client_id_t> seen;
+    for (const auto& done : r.completed) {
+        EXPECT_EQ(done.id, done.client);
+        seen.insert(done.client);
+    }
+    EXPECT_EQ(seen.size(), 256u);
+}
+
 TEST(bluescale_ic, non_power_of_four_clients) {
     rig r(6); // pads to 16-capacity tree
     for (client_id_t c = 0; c < 6; ++c) {

@@ -10,11 +10,19 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/tree_analysis.hpp"
+#include "core/bluescale_ic.hpp"
 #include "harness/factory.hpp"
 #include "harness/fig6_experiment.hpp"
 #include "harness/reconfig_experiment.hpp"
 #include "harness/resilience_experiment.hpp"
+#include "mem/memory_controller.hpp"
+#include "sim/fault.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "workload/memory_task.hpp"
+#include "workload/taskset_gen.hpp"
+#include "workload/traffic_generator.hpp"
 
 namespace bluescale::harness {
 namespace {
@@ -148,6 +156,133 @@ TEST(engine_equivalence, reconfig_run_bit_identical) {
     }
     expect_equal_exports(event_r, lockstep_r);
     EXPECT_EQ(metrics_csv(event_r.totals), metrics_csv(lockstep_r.totals));
+}
+
+/// Everything a depth-4 trial exports: per-client results as CSV, the
+/// metrics snapshot and the event trace.
+struct deep_exports {
+    std::string csv;
+    std::string metrics;
+    std::string trace;
+};
+
+/// One 256-client BlueScale trial (depth 4: 85 SEs and 258 simulator
+/// components, so both wake schedules span several 64-bit words) under
+/// an SE-stall + link-drop campaign, with the given response model.
+/// Assembled by hand because the testbench always builds the demux
+/// network.
+deep_exports run_deep_tree(simulator::engine engine,
+                           core::response_model responses) {
+    constexpr std::uint32_t n_clients = 256;
+    constexpr cycle_t cycles = 12'000;
+    rng workload_rng(29);
+    const workload::taskset_params params = {
+        .n_tasks = 4,
+        .total_utilization = 0.05,
+        .min_period_units = 40,
+        .max_period_units = 600,
+        .write_fraction = 0.3,
+    };
+    const auto tasksets = workload::make_client_tasksets(
+        workload_rng, n_clients, 0.30, 0.40, params);
+    std::vector<analysis::task_set> rt_sets;
+    for (const auto& ts : tasksets) {
+        rt_sets.push_back(workload::to_rt_tasks(ts));
+    }
+    const auto selection = analysis::select_tree_interfaces(rt_sets, {});
+    EXPECT_TRUE(selection.feasible);
+
+    sim::fault_campaign_config fc;
+    fc.seed = 31;
+    fc.horizon = cycles;
+    fc.events_per_kcycle = 4.0;
+    fc.dram_error_weight = 0.0;
+    fc.backpressure_weight = 0.0;
+    fc.n_elements = analysis::make_quadtree_shape(n_clients).total_ses();
+    const sim::fault_campaign campaign(fc);
+    EXPECT_GT(campaign.count(sim::fault_kind::se_stall), 0u);
+    EXPECT_GT(campaign.count(sim::fault_kind::link_drop), 0u);
+
+    obs::registry reg;
+    obs::trace_sink sink;
+    memory_controller mem;
+    core::bluescale_config bs_cfg;
+    bs_cfg.se.unit_cycles = memctrl_config{}.initiation_interval;
+    bs_cfg.responses = responses;
+    core::bluescale_ic ic(n_clients, bs_cfg);
+    ic.configure(selection);
+    ic.inject_campaign(campaign);
+    ic.attach_memory(mem);
+    ic.bind_observability(reg, sink);
+    mem.bind_observability(reg, sink.register_component("mem"));
+
+    simulator sim(engine);
+    sim.bind_trace(sink);
+    if (engine == simulator::engine::lockstep) {
+        ic.set_selective_ticking(false);
+    }
+    std::vector<std::unique_ptr<workload::traffic_generator>> clients;
+    workload::traffic_gen_config tg_cfg;
+    tg_cfg.unit_cycles = bs_cfg.se.unit_cycles;
+    tg_cfg.retry_timeout_cycles = 2048;
+    tg_cfg.max_retries = 3;
+    for (std::uint32_t c = 0; c < n_clients; ++c) {
+        clients.push_back(std::make_unique<workload::traffic_generator>(
+            c, tasksets[c], ic, 0x5851f42d4c957f2dull + c, tg_cfg));
+        clients.back()->bind_observability(reg);
+        sim.add(*clients.back());
+    }
+    ic.set_response_handler([&clients](mem_request&& r) {
+        clients[r.client]->on_response(std::move(r));
+    });
+    sim.add(ic);
+    sim.add(mem);
+    sim.run(cycles);
+
+    deep_exports out;
+    std::ostringstream csv;
+    csv << "client,issued,completed,missed,retries,stale,p99_latency\n";
+    for (std::uint32_t c = 0; c < n_clients; ++c) {
+        clients[c]->finalize(sim.now());
+        const auto& s = clients[c]->stats();
+        csv << c << ',' << s.issued() << ',' << s.completed() << ','
+            << s.missed() << ',' << s.retries() << ','
+            << s.stale_responses() << ','
+            << s.latency_cycles().percentile(99.0) << '\n';
+    }
+    std::uint64_t stall_windows = 0;
+    for (std::uint32_t l = 0; l <= ic.shape().leaf_level; ++l) {
+        for (std::uint32_t y = 0; y < ic.shape().ses_at_level(l); ++y) {
+            stall_windows += ic.se_at(l, y).stall_windows_entered();
+        }
+    }
+    csv << "stall_windows," << stall_windows << '\n';
+    csv << "link_dropped," << ic.link_dropped() << '\n';
+    out.csv = csv.str();
+    out.metrics = metrics_csv(reg.take_snapshot());
+    out.trace = trace_json(sink.export_all());
+    return out;
+}
+
+TEST(engine_equivalence, deep_tree_256_clients_bit_identical) {
+    for (const auto responses : {core::response_model::demux_network,
+                                 core::response_model::ideal_latency}) {
+        SCOPED_TRACE(responses == core::response_model::demux_network
+                         ? "demux_network"
+                         : "ideal_latency");
+        const deep_exports event =
+            run_deep_tree(simulator::engine::event, responses);
+        const deep_exports lockstep =
+            run_deep_tree(simulator::engine::lockstep, responses);
+        ASSERT_NE(event.csv.find("link_dropped,"), std::string::npos);
+        EXPECT_EQ(event.csv.find("stall_windows,0\n"), std::string::npos)
+            << "no SE stall window opened";
+        EXPECT_EQ(event.csv.find("link_dropped,0\n"), std::string::npos)
+            << "the campaign dropped nothing";
+        EXPECT_EQ(event.csv, lockstep.csv);
+        EXPECT_EQ(event.metrics, lockstep.metrics);
+        EXPECT_EQ(event.trace, lockstep.trace);
+    }
 }
 
 } // namespace
