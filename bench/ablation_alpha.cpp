@@ -6,9 +6,11 @@
 //
 //   $ ./bench/ablation_alpha [--trials N] [--cycles N] [--threads N]
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "harness/bench_cli.hpp"
-#include "harness/fig6_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -19,37 +21,32 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
-        "Ablation A1: BlueTree blocking factor alpha");
+        argc, argv, defaults, "Ablation A1: BlueTree blocking factor alpha");
 
     std::printf("Ablation A1: BlueTree blocking factor alpha "
                 "(16 clients, utilization 70-90%%)\n\n");
 
+    scenario s;
+    s.trials = opts.trials;
+    s.measure_cycles = opts.measure_cycles;
+    s.threads = opts.threads;
+    s.seeding = client_seeding::fig6_xor;
+
     stats::table t({"config", "blocking lat (us)", "worst (us)",
                     "miss ratio"});
+    const auto add_row = [&t](std::string config, const sweep_result& r) {
+        t.add_row({std::move(config),
+                   stats::table::num(r.series("blocking_us").mean(), 3),
+                   stats::table::num(r.series("worst_blocking_us").mean(), 2),
+                   stats::table::pct(r.series("miss_ratio").mean(), 2)});
+    };
     for (std::uint32_t alpha : {1u, 2u, 4u, 8u}) {
-        fig6_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.threads = opts.threads;
-        cfg.bluetree_alpha = alpha;
-        const auto r = run_fig6(ic_kind::bluetree, cfg);
-        t.add_row({"BlueTree alpha=" + std::to_string(alpha),
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
+        s.bluetree_alpha = alpha;
+        add_row("BlueTree alpha=" + std::to_string(alpha),
+                run_sweep(ic_kind::bluetree, s));
     }
-    {
-        fig6_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.threads = opts.threads;
-        const auto r = run_fig6(ic_kind::bluescale, cfg);
-        t.add_row({"BlueScale (reference)",
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
-    }
+    s.bluetree_alpha = 2;
+    add_row("BlueScale (reference)", run_sweep(ic_kind::bluescale, s));
     t.print();
     return 0;
 }

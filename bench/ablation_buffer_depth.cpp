@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
-#include "harness/fig6_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
+        argc, argv, defaults,
         "Ablation A2: BlueScale random-access-buffer depth");
 
     std::printf("Ablation A2: BlueScale random-access-buffer depth "
@@ -26,19 +26,20 @@ int main(int argc, char** argv) {
 
     stats::table t({"buffer depth", "blocking lat (us)", "worst (us)",
                     "miss ratio"});
+    scenario s;
+    s.trials = opts.trials;
+    s.measure_cycles = opts.measure_cycles;
+    s.threads = opts.threads;
+    s.seeding = client_seeding::fig6_xor;
     for (std::size_t depth : {2u, 4u, 8u, 16u, 32u}) {
-        fig6_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.threads = opts.threads;
         core::se_params se;
         se.buffer_depth = depth;
-        cfg.bluescale_se = se;
-        const auto r = run_fig6(ic_kind::bluescale, cfg);
+        s.bluescale_se = se;
+        const sweep_result r = run_sweep(ic_kind::bluescale, s);
         t.add_row({std::to_string(depth),
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
+                   stats::table::num(r.series("blocking_us").mean(), 3),
+                   stats::table::num(r.series("worst_blocking_us").mean(), 2),
+                   stats::table::pct(r.series("miss_ratio").mean(), 2)});
     }
     t.print();
     return 0;

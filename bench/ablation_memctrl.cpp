@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
-#include "harness/fig6_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -17,11 +17,17 @@ int main(int argc, char** argv) {
     defaults.trials = 6;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
+        argc, argv, defaults,
         "Ablation A4: memory controller policy x interconnect");
 
     std::printf("Ablation A4: memory controller policy x interconnect "
                 "(16 clients, utilization 70-90%%)\n\n");
+
+    scenario base;
+    base.trials = opts.trials;
+    base.measure_cycles = opts.measure_cycles;
+    base.threads = opts.threads;
+    base.seeding = client_seeding::fig6_xor;
 
     stats::table t({"design", "policy", "blocking lat (us)",
                     "miss ratio"});
@@ -29,16 +35,13 @@ int main(int argc, char** argv) {
                          ic_kind::bluetree, ic_kind::gsmtree_tdm}) {
         for (memctrl_policy policy :
              {memctrl_policy::fr_fcfs, memctrl_policy::fcfs}) {
-            fig6_config cfg;
-            cfg.trials = opts.trials;
-            cfg.measure_cycles = opts.measure_cycles;
-            cfg.threads = opts.threads;
-            cfg.memctrl.policy = policy;
-            const auto r = run_fig6(kind, cfg);
+            scenario s = base;
+            s.memctrl.policy = policy;
+            const sweep_result r = run_sweep(kind, s);
             t.add_row({kind_name(kind),
                        policy == memctrl_policy::fcfs ? "FCFS" : "FR-FCFS",
-                       stats::table::num(r.blocking_us.mean(), 3),
-                       stats::table::pct(r.miss_ratio.mean(), 2)});
+                       stats::table::num(r.series("blocking_us").mean(), 3),
+                       stats::table::pct(r.series("miss_ratio").mean(), 2)});
         }
     }
     t.print();
@@ -52,18 +55,16 @@ int main(int argc, char** argv) {
     for (ic_kind kind : {ic_kind::bluescale, ic_kind::axi_icrt,
                          ic_kind::bluetree}) {
         for (bool refresh : {false, true}) {
-            fig6_config cfg;
-            cfg.trials = opts.trials;
-            cfg.measure_cycles = opts.measure_cycles;
-            cfg.threads = opts.threads;
+            scenario s = base;
             if (refresh) {
-                cfg.memctrl.timing.t_refi = 1560;
-                cfg.memctrl.timing.t_rfc = 44;
+                s.memctrl.timing.t_refi = 1560;
+                s.memctrl.timing.t_rfc = 44;
             }
-            const auto r = run_fig6(kind, cfg);
+            const sweep_result r = run_sweep(kind, s);
             rt.add_row({kind_name(kind), refresh ? "on" : "off",
-                        stats::table::num(r.worst_blocking_us.mean(), 2),
-                        stats::table::pct(r.miss_ratio.mean(), 2)});
+                        stats::table::num(r.series("worst_blocking_us").mean(),
+                                          2),
+                        stats::table::pct(r.series("miss_ratio").mean(), 2)});
         }
     }
     rt.print();

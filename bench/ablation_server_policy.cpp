@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
-#include "harness/fig6_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
-        "Ablation A5: SE server-task policy");
+        argc, argv, defaults, "Ablation A5: SE server-task policy");
 
     std::printf("Ablation A5: SE server-task policy "
                 "(16 clients, utilization 70-90%%)\n\n");
@@ -40,19 +39,21 @@ int main(int argc, char** argv) {
 
     stats::table t({"variant", "blocking lat (us)", "worst (us)",
                     "miss ratio"});
+    scenario s;
+    s.trials = opts.trials;
+    s.measure_cycles = opts.measure_cycles;
+    s.threads = opts.threads;
+    s.seeding = client_seeding::fig6_xor;
     for (const auto& v : variants) {
-        fig6_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.threads = opts.threads;
         core::se_params se;
         se.policy = v.policy;
         se.work_conserving = v.work_conserving;
-        cfg.bluescale_se = se;
-        const auto r = run_fig6(ic_kind::bluescale, cfg);
-        t.add_row({v.name, stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
+        s.bluescale_se = se;
+        const sweep_result r = run_sweep(ic_kind::bluescale, s);
+        t.add_row({v.name,
+                   stats::table::num(r.series("blocking_us").mean(), 3),
+                   stats::table::num(r.series("worst_blocking_us").mean(), 2),
+                   stats::table::pct(r.series("miss_ratio").mean(), 2)});
     }
     t.print();
     return 0;

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     harness::bench_options defaults;
     defaults.trials = 20;
     const auto opts = harness::parse_bench_cli(
-        argc, argv, defaults, {harness::bench_arg::trials},
+        argc, argv, defaults,
         "Acceptance ratio of the whole-tree interface selection");
     const sim::trial_runner runner(opts.threads);
 

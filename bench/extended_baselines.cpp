@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
-#include "harness/fig6_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -18,26 +18,27 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
+        argc, argv, defaults,
         "Extended baselines: the paper's six plus AXI-HyperConnect");
 
     std::printf("Extended baselines: the paper's six plus "
                 "AXI-HyperConnect [15] (16 clients, utilization "
                 "70-90%%)\n\n");
 
-    fig6_config cfg;
-    cfg.trials = opts.trials;
-    cfg.measure_cycles = opts.measure_cycles;
-    cfg.threads = opts.threads;
+    scenario s;
+    s.trials = opts.trials;
+    s.measure_cycles = opts.measure_cycles;
+    s.threads = opts.threads;
+    s.seeding = client_seeding::fig6_xor;
 
     stats::table t({"design", "blocking lat (us)", "worst (us)",
                     "miss ratio"});
     for (ic_kind kind : k_extended_kinds) {
-        const auto r = run_fig6(kind, cfg);
-        t.add_row({kind_name(r.kind),
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
+        const sweep_result r = run_sweep(kind, s);
+        t.add_row({kind_name(kind),
+                   stats::table::num(r.series("blocking_us").mean(), 3),
+                   stats::table::num(r.series("worst_blocking_us").mean(), 2),
+                   stats::table::pct(r.series("miss_ratio").mean(), 2)});
     }
     t.print();
     return 0;

@@ -20,7 +20,7 @@ using namespace bluescale::hwcost;
 int main(int argc, char** argv) {
     harness::bench_options defaults;
     const auto opts = harness::parse_bench_cli(
-        argc, argv, defaults, {harness::bench_arg::csv},
+        argc, argv, defaults,
         "Fig. 5 reproduction: area / power / fmax vs scaling factor");
     const auto csv = harness::open_bench_csv(
         opts, {"metric", "eta", "clients", "legacy", "axi_icrt",

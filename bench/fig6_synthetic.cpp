@@ -8,8 +8,6 @@
 //                            [--seed N] [--csv out.csv]
 //                            [--metrics out.csv] [--trace out.json]
 //
-// (legacy positional form: fig6_synthetic [trials] [cycles] [out.csv])
-//
 // --csv dumps one row per (scale, design) with the raw aggregates for
 // plotting; the file is byte-identical for any --threads setting.
 // --metrics dumps the BlueScale design's merged obs::registry snapshot
@@ -17,9 +15,12 @@
 // at the 16-generator scale; the metrics file is likewise byte-identical
 // for any --threads setting.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
-#include "harness/fig6_experiment.hpp"
+#include "harness/scenario.hpp"
+#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -29,45 +30,54 @@ namespace {
 
 void run_scale(std::uint32_t n_clients, const bench_options& opts,
                stats::csv_writer* csv, bool export_obs) {
-    fig6_config cfg;
-    cfg.n_clients = n_clients;
-    cfg.trials = opts.trials;
-    cfg.measure_cycles = opts.measure_cycles;
-    cfg.seed = opts.seed;
-    cfg.threads = opts.threads;
-    cfg.collect_metrics = export_obs && !opts.metrics_path.empty();
-    cfg.collect_trace = export_obs && !opts.trace_path.empty();
-    cfg.profile = opts.profile;
+    scenario s;
+    s.workload.n_clients = n_clients;
+    s.trials = opts.trials;
+    s.measure_cycles = opts.measure_cycles;
+    s.seed = opts.seed;
+    s.threads = opts.threads;
+    s.seeding = client_seeding::fig6_xor;
+    s.collect_metrics = export_obs && !opts.metrics_path.empty();
+    s.metrics_before_finalize = true;
+    s.collect_trace = export_obs && !opts.trace_path.empty();
+    s.profile = opts.profile;
 
     std::printf("\n=== Fig. 6(%c): %u traffic generators, %u trials, "
                 "%llu cycles/trial, utilization 70-90%% ===\n",
-                n_clients == 16 ? 'a' : 'b', n_clients, cfg.trials,
-                static_cast<unsigned long long>(cfg.measure_cycles));
+                n_clients == 16 ? 'a' : 'b', n_clients, s.trials,
+                static_cast<unsigned long long>(s.measure_cycles));
 
     stats::table t({"design", "blocking lat (us)", "+/- sd", "worst (us)",
                     "miss ratio", "+/- sd", "sys clk (MHz)"});
     stats::table prof_t({"design", "sim Mcyc/s", "sim wall (s)",
                          "sweep wall (s)"});
-    for (const auto& r : run_fig6_all(cfg)) {
-        t.add_row({kind_name(r.kind),
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.blocking_us.stddev(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2),
-                   stats::table::pct(r.miss_ratio.stddev(), 2),
-                   stats::table::num(r.system_clock_mhz, 0)});
+    for (ic_kind kind : k_all_kinds) {
+        const sweep_result r = run_sweep(kind, s);
+        const auto& blocking = r.series("blocking_us");
+        const auto& miss = r.series("miss_ratio");
+        const double clock_mhz =
+            hwcost::system_clock_mhz(to_design(kind), n_clients);
+        t.add_row({kind_name(kind), stats::table::num(blocking.mean(), 3),
+                   stats::table::num(blocking.stddev(), 3),
+                   stats::table::num(r.series("worst_blocking_us").mean(), 2),
+                   stats::table::pct(miss.mean(), 2),
+                   stats::table::pct(miss.stddev(), 2),
+                   stats::table::num(clock_mhz, 0)});
         if (csv != nullptr) {
-            csv->add_row({std::to_string(n_clients), kind_name(r.kind),
-                          std::to_string(r.blocking_us.mean()),
-                          std::to_string(r.blocking_us.stddev()),
-                          std::to_string(r.worst_blocking_us.mean()),
-                          std::to_string(r.miss_ratio.mean()),
-                          std::to_string(r.miss_ratio.stddev()),
-                          std::to_string(r.system_clock_mhz)});
+            std::vector<std::string> row{std::to_string(n_clients),
+                                         kind_name(kind)};
+            for (auto& cell : obs::metric_cells(
+                     r.totals, {"blocking_us", "blocking_us:sd",
+                                "worst_blocking_us", "miss_ratio",
+                                "miss_ratio:sd"})) {
+                row.push_back(std::move(cell));
+            }
+            row.push_back(std::to_string(clock_mhz));
+            csv->add_row(row);
         }
-        if (r.kind == ic_kind::bluescale) {
-            if (cfg.collect_metrics) write_bench_metrics(opts, r.metrics);
-            if (cfg.collect_trace) write_bench_trace(opts, r.trace);
+        if (kind == ic_kind::bluescale) {
+            if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
+            if (s.collect_trace) write_bench_trace(opts, r.trace);
         }
         if (opts.profile) {
             const auto count = [&r](const char* name) {
@@ -77,7 +87,7 @@ void run_scale(std::uint32_t n_clients, const bench_options& opts,
             const double sim_s = count("profile/sim/wall_ns") * 1e-9;
             const double mcyc = count("profile/sim/cycles") * 1e-6;
             prof_t.add_row(
-                {kind_name(r.kind),
+                {kind_name(kind),
                  stats::table::num(sim_s == 0.0 ? 0.0 : mcyc / sim_s, 2),
                  stats::table::num(sim_s, 2),
                  stats::table::num(count("profile/sweep/wall_ns") * 1e-9,
@@ -100,7 +110,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 100'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Fig. 6 reproduction: blocking latency and deadline miss ratio");
 
     const auto csv = open_bench_csv(

@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
     harness::bench_options defaults;
     defaults.measure_cycles = 80'000;
     const auto opts = harness::parse_bench_cli(
-        argc, argv, defaults, {harness::bench_arg::cycles},
-        "Per-level queueing breakdown inside BlueScale");
+        argc, argv, defaults, "Per-level queueing breakdown inside BlueScale");
     const cycle_t cycles = opts.measure_cycles;
     constexpr std::uint32_t n_clients = 64;
 

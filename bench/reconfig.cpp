@@ -14,8 +14,8 @@
 //                      [--metrics out.csv] [--trace out.json]
 //
 // --csv dumps one row per (design, rate) with the raw aggregates (cells
-// rendered through obs::metric_cells off the experiment's metric
-// snapshot); the file is byte-identical for any --threads setting.
+// rendered through obs::metric_cells off the sweep's totals); the file
+// is byte-identical for any --threads setting.
 // --metrics dumps the BlueScale design's merged per-trial obs::registry
 // snapshot and --trace its trial-0 event trace, both at the highest
 // request rate; the metrics file is likewise byte-identical for any
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "harness/bench_cli.hpp"
-#include "harness/reconfig_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "obs/registry.hpp"
 #include "stats/table.hpp"
 
@@ -48,70 +48,69 @@ void run_design(ic_kind kind, const bench_options& opts,
     stats::table t({"rate", "submitted", "admit%", "commit", "rollbk",
                     "rej inf/over/haz", "lat (cyc)", "trans miss",
                     "miss ratio", "hard miss", "BE miss", "shed/rest"});
+    scenario s;
+    s.trials = opts.trials;
+    s.measure_cycles = opts.measure_cycles;
+    s.seed = opts.seed;
+    s.threads = opts.threads;
+    // The last four clients are best-effort: the watchdog may shed them
+    // under sustained overload; the rest keep their contracts.
+    s.workload.best_effort_clients = 4;
+    s.client_retry = true;
+    s.health = core::health_config{};
+    s.watchdog = core::watchdog_config{};
+    s.reconfig = core::reconfig_config{};
     for (double rate : k_rates) {
-        reconfig_exp_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.seed = opts.seed;
-        cfg.threads = opts.threads;
-        cfg.events_per_kcycle = rate;
+        // Requests start after a warmup that lets the initial selection
+        // settle.
+        s.requests = sim::reconfig_schedule_config{
+            .warmup = 5'000, .events_per_kcycle = rate};
         // Obs exports cover the BlueScale design at the highest request
         // rate (the most eventful run on a timeline).
         const bool export_obs =
             kind == ic_kind::bluescale && rate == k_rates[2];
-        cfg.collect_metrics = export_obs && !opts.metrics_path.empty();
-        cfg.collect_trace = export_obs && !opts.trace_path.empty();
+        s.collect_metrics = export_obs && !opts.metrics_path.empty();
+        s.collect_trace = export_obs && !opts.trace_path.empty();
 
-        const reconfig_result r = run_reconfig(kind, cfg);
-        if (cfg.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.collect_trace) write_bench_trace(opts, r.trace);
+        const sweep_result r = run_sweep(kind, s);
+        if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
+        if (s.collect_trace) write_bench_trace(opts, r.trace);
+        const auto count = [&r](const char* name) {
+            return std::to_string(r.count(name));
+        };
         t.add_row({stats::table::num(rate, 2),
-                   std::to_string(r.submitted + r.applied_unchecked),
-                   stats::table::pct(r.admission_ratio(), 1),
-                   std::to_string(r.committed),
-                   std::to_string(r.rolled_back),
-                   std::to_string(r.rejected_infeasible) + "/" +
-                       std::to_string(r.rejected_overutilized) + "/" +
-                       std::to_string(r.rejected_path_hazard),
-                   stats::table::num(r.reconfig_latency_cycles.mean(), 0),
-                   std::to_string(r.transition_misses),
-                   stats::table::pct(r.miss_ratio.mean(), 2),
-                   std::to_string(r.hard_misses),
-                   std::to_string(r.best_effort_misses),
-                   std::to_string(r.shed_events) + "/" +
-                       std::to_string(r.restore_events)});
+                   std::to_string(r.count("submitted") +
+                                  r.count("applied_unchecked")),
+                   stats::table::pct(r.ratio("admission_ratio"), 1),
+                   count("committed"), count("rolled_back"),
+                   count("rejected_infeasible") + "/" +
+                       count("rejected_overutilized") + "/" +
+                       count("rejected_path_hazard"),
+                   stats::table::num(
+                       r.series("reconfig_latency_cycles").mean(), 0),
+                   count("transition_misses"),
+                   stats::table::pct(r.series("miss_ratio").mean(), 2),
+                   count("hard_misses"), count("best_effort_misses"),
+                   count("shed_events") + "/" + count("restore_events")});
         if (csv != nullptr) {
-            // Raw aggregate cells come off the experiment's metric
-            // snapshot through the one exporter path; only the design
-            // key and the sweep coordinate are composed here.
+            // Raw aggregate cells come off the sweep's totals through the
+            // one exporter path; only the design key and the sweep
+            // coordinate are composed here.
             std::vector<std::string> row{kind_name(kind),
                                          std::to_string(rate)};
             for (auto& cell : obs::metric_cells(
                      r.totals,
-                     {"reconfig_exp/submitted",
-                      "reconfig_exp/applied_unchecked",
-                      "reconfig_exp/admitted", "reconfig_exp/committed",
-                      "reconfig_exp/rolled_back",
-                      "reconfig_exp/rejected_infeasible",
-                      "reconfig_exp/rejected_overutilized",
-                      "reconfig_exp/rejected_path_hazard",
-                      "reconfig_exp/admission_ratio",
-                      "reconfig_exp/latency_cycles",
-                      "reconfig_exp/latency_cycles:max",
-                      "reconfig_exp/transition_misses",
-                      "reconfig_exp/miss_ratio",
-                      "reconfig_exp/miss_ratio:sd",
-                      "reconfig_exp/hard_misses",
-                      "reconfig_exp/best_effort_misses",
-                      "reconfig_exp/live_reconfigurations",
-                      "reconfig_exp/windows_checked",
-                      "reconfig_exp/violating_windows",
-                      "reconfig_exp/supply_shortfall_alarms",
-                      "reconfig_exp/shed_events",
-                      "reconfig_exp/restore_events",
-                      "reconfig_exp/shed_client_cycles",
-                      "reconfig_exp/shed_deferrals",
-                      "reconfig_exp/feasible_trials"})) {
+                     {"submitted", "applied_unchecked", "admitted",
+                      "committed", "rolled_back", "rejected_infeasible",
+                      "rejected_overutilized", "rejected_path_hazard",
+                      "admission_ratio", "reconfig_latency_cycles",
+                      "reconfig_latency_cycles:max", "transition_misses",
+                      "miss_ratio", "miss_ratio:sd", "hard_misses",
+                      "best_effort_misses", "live_reconfigurations",
+                      "windows_checked", "violating_windows",
+                      "supply_shortfall_alarms", "shed_events",
+                      "restore_events", "shed_client_cycles",
+                      "shed_deferrals", "feasible_trials"})) {
                 row.push_back(std::move(cell));
             }
             csv->add_row(row);
@@ -128,7 +127,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 100'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Reconfig: online admission control, transactional (Pi, Theta) "
         "reconfiguration and overload shedding");
 

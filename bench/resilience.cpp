@@ -10,8 +10,8 @@
 //                        [--metrics out.csv] [--trace out.json]
 //
 // --csv dumps one row per (design, intensity) with the raw aggregates
-// (cells rendered through obs::metric_cells off the experiment's metric
-// snapshot); the file is byte-identical for any --threads setting.
+// (cells rendered through obs::metric_cells off the sweep's totals);
+// the file is byte-identical for any --threads setting.
 // --metrics dumps the BlueScale design's merged per-trial obs::registry
 // snapshot and --trace its trial-0 event trace, both at the highest
 // fault intensity; the metrics file is likewise byte-identical for any
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "harness/bench_cli.hpp"
-#include "harness/resilience_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "obs/registry.hpp"
 #include "stats/table.hpp"
 
@@ -45,53 +45,58 @@ void run_design(ic_kind kind, const bench_options& opts,
     stats::table t({"intensity", "miss ratio", "p99 (cyc)", "p99 infl",
                     "worst (cyc)", "retries", "timeouts", "ecc", "drops",
                     "degr/recov", "mean TTR"});
+    scenario s;
+    s.trials = opts.trials;
+    s.measure_cycles = opts.measure_cycles;
+    s.seed = opts.seed;
+    s.threads = opts.threads;
+    // Clients recover with bounded retry/timeout reissue; the BlueScale
+    // fabric additionally degrades unhealthy elements under a monitor.
+    s.client_retry = true;
+    s.health = core::health_config{};
     double healthy_p99 = 0.0;
     double healthy_worst = 0.0;
     for (double intensity : k_intensities) {
-        resilience_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.seed = opts.seed;
-        cfg.threads = opts.threads;
-        cfg.fault_intensity = intensity;
+        s.faults = sim::fault_campaign_config{.events_per_kcycle = intensity};
         // Obs exports cover the BlueScale design at the highest intensity
         // (the most eventful run on a timeline).
         const bool export_obs = kind == ic_kind::bluescale &&
                                 intensity == k_intensities[3];
-        cfg.collect_metrics = export_obs && !opts.metrics_path.empty();
-        cfg.collect_trace = export_obs && !opts.trace_path.empty();
+        s.collect_metrics = export_obs && !opts.metrics_path.empty();
+        s.collect_trace = export_obs && !opts.trace_path.empty();
 
-        const resilience_result r = run_resilience(kind, cfg);
-        if (cfg.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.collect_trace) write_bench_trace(opts, r.trace);
+        const sweep_result r = run_sweep(kind, s);
+        if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
+        if (s.collect_trace) write_bench_trace(opts, r.trace);
+        const double p99 = r.series("p99_latency_cycles").mean();
+        const double worst = r.series("worst_latency_cycles").mean();
         if (intensity == 0.0) {
-            healthy_p99 = r.p99_latency_cycles.mean();
-            healthy_worst = r.worst_latency_cycles.mean();
+            healthy_p99 = p99;
+            healthy_worst = worst;
         }
         const double p99_inflation =
-            healthy_p99 == 0.0 ? 0.0
-                               : r.p99_latency_cycles.mean() / healthy_p99;
+            healthy_p99 == 0.0 ? 0.0 : p99 / healthy_p99;
         const double worst_inflation =
-            healthy_worst == 0.0
-                ? 0.0
-                : r.worst_latency_cycles.mean() / healthy_worst;
+            healthy_worst == 0.0 ? 0.0 : worst / healthy_worst;
 
         t.add_row({stats::table::num(intensity, 1),
-                   stats::table::pct(r.miss_ratio.mean(), 2),
-                   stats::table::num(r.p99_latency_cycles.mean(), 1),
+                   stats::table::pct(r.series("miss_ratio").mean(), 2),
+                   stats::table::num(p99, 1),
                    stats::table::num(p99_inflation, 2),
-                   stats::table::num(r.worst_latency_cycles.mean(), 1),
-                   std::to_string(r.retries), std::to_string(r.timeouts),
-                   std::to_string(r.ecc_retries),
-                   std::to_string(r.link_drops),
-                   std::to_string(r.degrade_events) + "/" +
-                       std::to_string(r.recovery_events),
-                   stats::table::num(r.time_to_recover_cycles.mean(), 0)});
+                   stats::table::num(worst, 1),
+                   std::to_string(r.count("retries")),
+                   std::to_string(r.count("timeouts")),
+                   std::to_string(r.count("ecc_retries")),
+                   std::to_string(r.count("link_drops")),
+                   std::to_string(r.count("degrade_events")) + "/" +
+                       std::to_string(r.count("recovery_events")),
+                   stats::table::num(
+                       r.series("time_to_recover_cycles").mean(), 0)});
         if (csv != nullptr) {
-            // Raw aggregate cells come off the experiment's metric
-            // snapshot through the one exporter path; only the design
-            // key, the sweep coordinate and the cross-run inflation
-            // ratios are composed here.
+            // Raw aggregate cells come off the sweep's totals through
+            // the one exporter path; only the design key, the sweep
+            // coordinate and the cross-run inflation ratios are composed
+            // here.
             std::vector<std::string> row{kind_name(kind),
                                          std::to_string(intensity)};
             const auto append = [&](std::vector<std::string> names) {
@@ -99,25 +104,17 @@ void run_design(ic_kind kind, const bench_options& opts,
                     row.push_back(std::move(cell));
                 }
             };
-            append({"resilience/miss_ratio", "resilience/miss_ratio:sd",
-                    "resilience/p99_latency_cycles"});
+            append({"miss_ratio", "miss_ratio:sd", "p99_latency_cycles"});
             row.push_back(std::to_string(p99_inflation));
-            append({"resilience/worst_latency_cycles"});
+            append({"worst_latency_cycles"});
             row.push_back(std::to_string(worst_inflation));
-            append({"resilience/injected_events",
-                    "resilience/stall_windows",
-                    "resilience/se_stall_cycles", "resilience/link_drops",
-                    "resilience/ecc_retries",
-                    "resilience/uncorrected_errors",
-                    "resilience/storm_cycles", "resilience/retries",
-                    "resilience/timeouts", "resilience/retry_exhausted",
-                    "resilience/stale_responses",
-                    "resilience/failed_responses",
-                    "resilience/degrade_events",
-                    "resilience/recovery_events",
-                    "resilience/degraded_se_cycles",
-                    "resilience/time_to_recover_cycles",
-                    "resilience/feasible_trials"});
+            append({"injected_events", "stall_windows", "se_stall_cycles",
+                    "link_drops", "ecc_retries", "uncorrected_errors",
+                    "storm_cycles", "retries", "timeouts",
+                    "retry_exhausted", "stale_responses",
+                    "failed_responses", "degrade_events",
+                    "recovery_events", "degraded_se_cycles",
+                    "time_to_recover_cycles", "feasible_trials"});
             csv->add_row(row);
         }
     }
@@ -132,7 +129,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 100'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Resilience: deadline misses and latency inflation under "
         "fault-injection campaigns");
 

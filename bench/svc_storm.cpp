@@ -14,17 +14,17 @@
 //                       [--metrics out.csv] [--trace out.json]
 //
 // --csv dumps one row per rate with the raw aggregates (cells rendered
-// through obs::metric_cells off the experiment's metric snapshot); the
-// file is byte-identical for any --threads setting and for the event vs
-// lockstep engines. --metrics dumps the merged per-trial obs::registry
+// through obs::metric_cells off the sweep's totals); the file is
+// byte-identical for any --threads setting and for the event vs lockstep
+// engines. --metrics dumps the merged per-trial obs::registry
 // snapshot and --trace the trial-0 event trace, both at the highest
 // rate.
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "harness/analysis_service_experiment.hpp"
 #include "harness/bench_cli.hpp"
+#include "harness/scenario.hpp"
 #include "obs/registry.hpp"
 #include "stats/table.hpp"
 
@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Svc storm: bounded-queue multi-worker admission service under "
         "overload, worker faults and path hazards");
 
@@ -71,61 +70,59 @@ int main(int argc, char** argv) {
     stats::table t({"rate", "submitted", "shed", "expired", "commit",
                     "reject", "retry/requeue", "cache hit%", "degraded",
                     "breaker", "lat (cyc)", "hard miss", "conserved"});
+    scenario s;
+    s.trials = opts.trials;
+    s.measure_cycles = opts.measure_cycles;
+    s.seed = opts.seed;
+    s.threads = opts.threads;
+    s.workload.best_effort_clients = 4;
+    s.client_retry = true;
+    // Fabric faults force path-hazard rejections and service retries.
+    s.faults = sim::fault_campaign_config{.events_per_kcycle = 0.05};
+    s.reconfig = core::reconfig_config{};
+    s.service = service_stage{.worker_fault_intensity = 0.05};
+    s.service->config.default_deadline = 20'000;
     for (double rate : k_rates) {
-        svc_storm_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.seed = opts.seed;
-        cfg.threads = opts.threads;
-        cfg.requests_per_kcycle = rate;
-        cfg.service.default_deadline = 20'000;
-        cfg.worker_fault_intensity = 0.05;
-        cfg.path_fault_intensity = 0.05;
+        s.requests = sim::reconfig_schedule_config{
+            .warmup = 2'000, .events_per_kcycle = rate};
         const bool export_obs = rate == k_rates[2];
-        cfg.collect_metrics = export_obs && !opts.metrics_path.empty();
-        cfg.collect_trace = export_obs && !opts.trace_path.empty();
+        s.collect_metrics = export_obs && !opts.metrics_path.empty();
+        s.collect_trace = export_obs && !opts.trace_path.empty();
 
-        const svc_storm_result r = run_svc_storm(cfg);
-        if (cfg.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.collect_trace) write_bench_trace(opts, r.trace);
-        t.add_row({stats::table::num(rate, 1),
-                   std::to_string(r.submitted), std::to_string(r.shed),
-                   std::to_string(r.expired), std::to_string(r.committed),
-                   std::to_string(r.rejected),
-                   std::to_string(r.retries) + "/" +
-                       std::to_string(r.requeues),
-                   stats::table::pct(r.cache_hit_ratio(), 1),
-                   std::to_string(r.degraded_requests),
-                   std::to_string(r.breaker_trips),
-                   stats::table::num(r.latency_cycles.mean(), 0),
-                   std::to_string(r.hard_misses),
-                   std::to_string(r.conserved_trials) + "/" +
-                       std::to_string(r.trials)});
+        const sweep_result r = run_sweep(ic_kind::bluescale, s);
+        if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
+        if (s.collect_trace) write_bench_trace(opts, r.trace);
+        const auto count = [&r](const char* name) {
+            return std::to_string(r.count(name));
+        };
+        t.add_row({stats::table::num(rate, 1), count("submitted"),
+                   count("shed"), count("expired"), count("committed"),
+                   count("rejected"),
+                   count("request_retries") + "/" + count("requeues"),
+                   stats::table::pct(r.ratio("cache_hit_ratio"), 1),
+                   count("degraded_requests"), count("breaker_trips"),
+                   stats::table::num(
+                       r.series("request_latency_cycles").mean(), 0),
+                   count("hard_misses"),
+                   count("conserved_trials") + "/" +
+                       std::to_string(s.trials)});
         if (csv != nullptr) {
             std::vector<std::string> row{std::to_string(rate)};
             for (auto& cell : obs::metric_cells(
                      r.totals,
-                     {"svc_exp/submitted", "svc_exp/shed",
-                      "svc_exp/expired", "svc_exp/committed",
-                      "svc_exp/rejected", "svc_exp/rejected_infeasible",
-                      "svc_exp/rejected_overutilized",
-                      "svc_exp/rejected_path_hazard",
-                      "svc_exp/rolled_back", "svc_exp/retries",
-                      "svc_exp/requeues", "svc_exp/worker_crashes",
-                      "svc_exp/worker_stall_cycles", "svc_exp/cache_hits",
-                      "svc_exp/cache_misses", "svc_exp/cache_hit_ratio",
-                      "svc_exp/cache_invalidations",
-                      "svc_exp/degraded_evals",
-                      "svc_exp/degraded_requests",
-                      "svc_exp/breaker_trips", "svc_exp/stale_reevals",
-                      "svc_exp/latency_cycles",
-                      "svc_exp/latency_cycles:max",
-                      "svc_exp/eval_cycles", "svc_exp/miss_ratio",
-                      "svc_exp/hard_misses",
-                      "svc_exp/best_effort_misses",
-                      "svc_exp/live_reconfigurations",
-                      "svc_exp/feasible_trials", "svc_exp/drained_trials",
-                      "svc_exp/conserved_trials"})) {
+                     {"submitted", "shed", "expired", "committed",
+                      "rejected", "rejected_infeasible",
+                      "rejected_overutilized", "rejected_path_hazard",
+                      "rolled_back", "request_retries", "requeues",
+                      "worker_crashes", "worker_stall_cycles",
+                      "cache_hits", "cache_misses", "cache_hit_ratio",
+                      "cache_invalidations", "degraded_evals",
+                      "degraded_requests", "breaker_trips",
+                      "stale_reevals", "request_latency_cycles",
+                      "request_latency_cycles:max", "eval_cycles",
+                      "miss_ratio", "hard_misses", "best_effort_misses",
+                      "live_reconfigurations", "feasible_trials",
+                      "drained_trials", "conserved_trials"})) {
                 row.push_back(std::move(cell));
             }
             csv->add_row(row);

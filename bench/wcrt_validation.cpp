@@ -120,7 +120,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 80'000;
     const auto opts = harness::parse_bench_cli(
         argc, argv, defaults,
-        {harness::bench_arg::trials, harness::bench_arg::cycles},
         "Analysis validation: feasible selection => zero misses");
     const sim::trial_runner runner(opts.threads);
 

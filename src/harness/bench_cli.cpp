@@ -1,9 +1,11 @@
 #include "harness/bench_cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "sim/simulator.hpp"
 
@@ -31,9 +33,7 @@ namespace {
         "  --profile      report simulator wall-clock profile after the"
         " run\n"
         "  --lockstep     force the cycle-stepped fallback engine"
-        " (results are byte-identical to the event engine)\n"
-        "Legacy positional arguments are still accepted where the driver"
-        " historically took them.\n",
+        " (results are byte-identical to the event engine)\n",
         argv0, what, argv0, defaults.trials,
         static_cast<unsigned long long>(defaults.measure_cycles),
         defaults.threads,
@@ -41,15 +41,22 @@ namespace {
     std::exit(code);
 }
 
+/// An unsigned decimal no larger than `max`. strtoull alone would accept
+/// leading space and a sign (wrapping "-1" to 2^64 - 1) and saturate on
+/// overflow, so the first character must be a digit and ERANGE is fatal.
 std::uint64_t parse_u64(const char* argv0, const char* what,
                         const bench_options& defaults, const char* flag,
-                        const char* text) {
+                        const char* text, std::uint64_t max) {
     char* end = nullptr;
+    errno = 0;
     const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: %s expects a non-negative integer, got"
-                             " '%s'\n",
-                     argv0, flag, text);
+    const bool digits_only = text[0] >= '0' && text[0] <= '9' &&
+                             *end == '\0';
+    if (!digits_only || errno == ERANGE || v > max) {
+        std::fprintf(stderr,
+                     "%s: %s expects an integer in [0, %llu], got '%s'\n",
+                     argv0, flag, static_cast<unsigned long long>(max),
+                     text);
         usage_and_exit(argv0, what, defaults, 2);
     }
     return v;
@@ -59,10 +66,12 @@ std::uint64_t parse_u64(const char* argv0, const char* what,
 
 bench_options parse_bench_cli(int argc, char** argv,
                               const bench_options& defaults,
-                              std::initializer_list<bench_arg> positional,
                               const char* what) {
     bench_options opts = defaults;
-    auto next_positional = positional.begin();
+    const auto number = [&](const char* flag, const char* text,
+                            std::uint64_t max) {
+        return parse_u64(argv[0], what, defaults, flag, text, max);
+    };
 
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
@@ -78,16 +87,17 @@ bench_options parse_bench_cli(int argc, char** argv,
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
             usage_and_exit(argv[0], what, defaults, 0);
         } else if (std::strcmp(arg, "--trials") == 0) {
-            opts.trials = static_cast<std::uint32_t>(
-                parse_u64(argv[0], what, defaults, arg, value()));
+            opts.trials = static_cast<std::uint32_t>(number(
+                arg, value(), std::numeric_limits<std::uint32_t>::max()));
         } else if (std::strcmp(arg, "--cycles") == 0) {
-            opts.measure_cycles = static_cast<cycle_t>(
-                parse_u64(argv[0], what, defaults, arg, value()));
+            opts.measure_cycles = number(
+                arg, value(), std::numeric_limits<cycle_t>::max());
         } else if (std::strcmp(arg, "--threads") == 0) {
-            opts.threads = static_cast<unsigned>(
-                parse_u64(argv[0], what, defaults, arg, value()));
+            opts.threads = static_cast<unsigned>(number(
+                arg, value(), std::numeric_limits<unsigned>::max()));
         } else if (std::strcmp(arg, "--seed") == 0) {
-            opts.seed = parse_u64(argv[0], what, defaults, arg, value());
+            opts.seed = number(arg, value(),
+                               std::numeric_limits<std::uint64_t>::max());
         } else if (std::strcmp(arg, "--csv") == 0) {
             opts.csv_path = value();
         } else if (std::strcmp(arg, "--metrics") == 0) {
@@ -101,20 +111,6 @@ bench_options parse_bench_cli(int argc, char** argv,
         } else if (arg[0] == '-' && arg[1] != '\0') {
             std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg);
             usage_and_exit(argv[0], what, defaults, 2);
-        } else if (next_positional != positional.end()) {
-            switch (*next_positional++) {
-            case bench_arg::trials:
-                opts.trials = static_cast<std::uint32_t>(parse_u64(
-                    argv[0], what, defaults, "[trials]", arg));
-                break;
-            case bench_arg::cycles:
-                opts.measure_cycles = static_cast<cycle_t>(parse_u64(
-                    argv[0], what, defaults, "[cycles]", arg));
-                break;
-            case bench_arg::csv:
-                opts.csv_path = arg;
-                break;
-            }
         } else {
             std::fprintf(stderr, "%s: unexpected argument '%s'\n", argv[0],
                          arg);

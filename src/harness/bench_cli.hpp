@@ -1,7 +1,6 @@
 // Shared command-line handling for the bench/ drivers.
 //
-// Every driver historically rolled its own positional atoi() parsing;
-// this helper gives them one vocabulary:
+// One vocabulary for every driver:
 //
 //   --trials N     trials per configuration
 //   --cycles N     simulated cycles per trial
@@ -13,14 +12,9 @@
 //   --profile      report simulator wall-clock profile after the run
 //   --lockstep     force the cycle-stepped fallback engine
 //   --help         usage
-//
-// The historical positional forms (e.g. `fig6_synthetic 20 100000 out.csv`)
-// keep working: each driver declares which options its positionals used to
-// mean, in order.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,17 +43,14 @@ struct bench_options {
     bool lockstep = false;
 };
 
-/// Legacy positional slots a driver may accept, in declaration order.
-enum class bench_arg : std::uint8_t { trials, cycles, csv };
-
-/// Parses the shared bench flags plus the driver's legacy positionals.
-/// `defaults` seeds the returned options (pass the bench's historical
-/// defaults). On --help or a malformed command line, prints usage for
-/// `what` and terminates the process (benches are leaf executables).
-[[nodiscard]] bench_options
-parse_bench_cli(int argc, char** argv, const bench_options& defaults,
-                std::initializer_list<bench_arg> positional,
-                const char* what);
+/// Parses the shared bench flags. `defaults` seeds the returned options
+/// (pass the bench's historical defaults). Numbers are unsigned decimal
+/// and must fit their field. On --help or a malformed command line,
+/// prints usage for `what` and terminates the process (benches are leaf
+/// executables).
+[[nodiscard]] bench_options parse_bench_cli(int argc, char** argv,
+                                            const bench_options& defaults,
+                                            const char* what);
 
 /// Opens the CSV sink when --csv was given: returns nullptr when no path
 /// was requested, and exits with a diagnostic when the file cannot be

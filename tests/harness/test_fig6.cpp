@@ -1,115 +1,120 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "harness/factory.hpp"
-#include "harness/fig6_experiment.hpp"
+#include "harness/scenario.hpp"
+#include "../test_util.hpp"
 
 namespace bluescale::harness {
 namespace {
 
-fig6_config small_config() {
-    fig6_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 2;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 99;
-    return cfg;
+using testing::expect_same_sweep;
+
+/// The Fig. 6 method: paper workload, the family's client seeding.
+scenario small_scenario() {
+    scenario s;
+    s.workload.n_clients = 16;
+    s.trials = 2;
+    s.measure_cycles = 8'000;
+    s.seed = 99;
+    s.seeding = client_seeding::fig6_xor;
+    s.metrics_before_finalize = true;
+    return s;
 }
 
 TEST(fig6, produces_per_trial_samples) {
-    const auto r = run_fig6(ic_kind::bluescale, small_config());
-    EXPECT_EQ(r.blocking_us.count(), 2u);
-    EXPECT_EQ(r.miss_ratio.count(), 2u);
-    EXPECT_EQ(r.n_clients, 16u);
-    EXPECT_GT(r.system_clock_mhz, 0.0);
+    const auto r = run_sweep(ic_kind::bluescale, small_scenario());
+    EXPECT_EQ(r.series("blocking_us").count(), 2u);
+    EXPECT_EQ(r.series("worst_blocking_us").count(), 2u);
+    EXPECT_EQ(r.series("miss_ratio").count(), 2u);
+    EXPECT_GT(r.series("blocking_us").mean(), 0.0);
 }
 
 TEST(fig6, bluescale_selection_feasible_at_paper_utilizations) {
-    const auto r = run_fig6(ic_kind::bluescale, small_config());
-    EXPECT_EQ(r.feasible_trials, 2u);
+    const auto r = run_sweep(ic_kind::bluescale, small_scenario());
+    EXPECT_EQ(r.count("feasible_trials"), 2u);
 }
 
 TEST(fig6, metrics_within_sane_ranges) {
     for (ic_kind kind :
          {ic_kind::bluescale, ic_kind::bluetree, ic_kind::gsmtree_tdm}) {
-        const auto r = run_fig6(kind, small_config());
-        EXPECT_GE(r.miss_ratio.min(), 0.0) << kind_name(kind);
-        EXPECT_LE(r.miss_ratio.max(), 1.0) << kind_name(kind);
-        EXPECT_GE(r.blocking_us.min(), 0.0) << kind_name(kind);
-        EXPECT_LE(r.blocking_us.mean(), r.worst_blocking_us.max())
+        const auto r = run_sweep(kind, small_scenario());
+        const auto& miss = r.series("miss_ratio");
+        EXPECT_GE(miss.min(), 0.0) << kind_name(kind);
+        EXPECT_LE(miss.max(), 1.0) << kind_name(kind);
+        EXPECT_GE(r.series("blocking_us").min(), 0.0) << kind_name(kind);
+        EXPECT_LE(r.series("blocking_us").mean(),
+                  r.series("worst_blocking_us").max())
             << kind_name(kind);
     }
 }
 
 TEST(fig6, deterministic_given_seed) {
-    const auto a = run_fig6(ic_kind::bluetree, small_config());
-    const auto b = run_fig6(ic_kind::bluetree, small_config());
-    EXPECT_EQ(a.blocking_us.mean(), b.blocking_us.mean());
-    EXPECT_EQ(a.miss_ratio.mean(), b.miss_ratio.mean());
+    const auto a = run_sweep(ic_kind::bluetree, small_scenario());
+    const auto b = run_sweep(ic_kind::bluetree, small_scenario());
+    expect_same_sweep(a, b);
 }
 
 TEST(fig6, different_seeds_differ) {
-    auto cfg = small_config();
-    const auto a = run_fig6(ic_kind::bluetree, cfg);
-    cfg.seed = 12345;
-    const auto b = run_fig6(ic_kind::bluetree, cfg);
-    EXPECT_NE(a.blocking_us.mean(), b.blocking_us.mean());
+    auto s = small_scenario();
+    const auto a = run_sweep(ic_kind::bluetree, s);
+    s.seed = 12345;
+    const auto b = run_sweep(ic_kind::bluetree, s);
+    EXPECT_NE(a.series("blocking_us").mean(),
+              b.series("blocking_us").mean());
 }
 
 TEST(fig6, run_all_covers_six_designs) {
-    auto cfg = small_config();
-    cfg.trials = 1;
-    const auto all = run_fig6_all(cfg);
-    ASSERT_EQ(all.size(), 6u);
-    std::set<ic_kind> kinds;
-    for (const auto& r : all) kinds.insert(r.kind);
-    EXPECT_EQ(kinds.size(), 6u);
+    auto s = small_scenario();
+    s.trials = 1;
+    ASSERT_EQ(std::size(k_all_kinds), 6u);
+    for (ic_kind kind : k_all_kinds) {
+        const auto r = run_sweep(kind, s);
+        EXPECT_EQ(r.series("blocking_us").count(), 1u) << kind_name(kind);
+    }
 }
 
 TEST(fig6, extended_kind_runs_through_harness) {
-    const auto r = run_fig6(ic_kind::axi_hyperconnect, small_config());
-    EXPECT_EQ(r.blocking_us.count(), 2u);
-    EXPECT_GE(r.miss_ratio.min(), 0.0);
-    EXPECT_LE(r.miss_ratio.max(), 1.0);
+    const auto r = run_sweep(ic_kind::axi_hyperconnect, small_scenario());
+    EXPECT_EQ(r.series("blocking_us").count(), 2u);
+    EXPECT_GE(r.series("miss_ratio").min(), 0.0);
+    EXPECT_LE(r.series("miss_ratio").max(), 1.0);
 }
 
 TEST(fig6, parallel_trials_bit_identical_to_serial) {
     // The execution-layer contract: aggregates are exactly equal (not
     // just close) for any thread count, because per-trial results are
     // merged in trial order.
-    auto cfg = small_config();
-    cfg.trials = 6;
+    auto s = small_scenario();
+    s.trials = 6;
+    s.collect_metrics = true;
     for (ic_kind kind : {ic_kind::bluescale, ic_kind::bluetree}) {
-        cfg.threads = 1;
-        const auto serial = run_fig6(kind, cfg);
-        cfg.threads = 4;
-        const auto parallel = run_fig6(kind, cfg);
-
-        ASSERT_EQ(serial.blocking_us.count(), parallel.blocking_us.count());
-        EXPECT_EQ(serial.blocking_us.samples(),
-                  parallel.blocking_us.samples())
-            << kind_name(kind);
-        EXPECT_EQ(serial.worst_blocking_us.samples(),
-                  parallel.worst_blocking_us.samples())
-            << kind_name(kind);
-        EXPECT_EQ(serial.miss_ratio.samples(), parallel.miss_ratio.samples())
-            << kind_name(kind);
-        EXPECT_EQ(serial.blocking_us.mean(), parallel.blocking_us.mean());
-        EXPECT_EQ(serial.blocking_us.stddev(),
-                  parallel.blocking_us.stddev());
-        EXPECT_EQ(serial.miss_ratio.mean(), parallel.miss_ratio.mean());
-        EXPECT_EQ(serial.feasible_trials, parallel.feasible_trials);
+        s.threads = 1;
+        const auto serial = run_sweep(kind, s);
+        s.threads = 4;
+        const auto parallel = run_sweep(kind, s);
+        SCOPED_TRACE(kind_name(kind));
+        // Sample order first: the CSV comparison's percentiles sort.
+        for (const char* name :
+             {"blocking_us", "worst_blocking_us", "miss_ratio"}) {
+            EXPECT_EQ(serial.series(name).samples(),
+                      parallel.series(name).samples())
+                << name;
+        }
+        expect_same_sweep(serial, parallel);
     }
 }
 
 TEST(fig6, se_override_applies) {
-    auto cfg = small_config();
-    cfg.trials = 1;
+    auto s = small_scenario();
+    s.trials = 1;
     core::se_params se;
     se.buffer_depth = 4;
     se.policy = core::server_policy::fixed_priority;
-    cfg.bluescale_se = se;
-    const auto r = run_fig6(ic_kind::bluescale, cfg);
-    EXPECT_EQ(r.blocking_us.count(), 1u); // just runs through
+    s.bluescale_se = se;
+    const auto r = run_sweep(ic_kind::bluescale, s);
+    EXPECT_EQ(r.series("blocking_us").count(), 1u); // just runs through
 }
 
 } // namespace

@@ -1,107 +1,92 @@
-// Reconfiguration experiment determinism and plumbing: scheduled
-// admission requests must preserve the trial runner's bit-identical-for-
-// any-thread-count contract, BlueScale must actually admit and commit
-// (and reject infeasible churn with zero perturbation), and the baseline
-// must apply everything unconditionally.
+// Reconfiguration scenario determinism and plumbing: scheduled admission
+// requests must preserve the trial runner's bit-identical-for-any-
+// thread-count contract, BlueScale must actually admit and commit (and
+// reject infeasible churn with zero perturbation), and the baseline must
+// apply everything unconditionally.
 #include <gtest/gtest.h>
 
-#include "harness/reconfig_experiment.hpp"
+#include "harness/scenario.hpp"
+#include "../test_util.hpp"
 
 namespace bluescale::harness {
 namespace {
 
-reconfig_exp_config small_config(unsigned threads, double rate) {
-    reconfig_exp_config cfg;
-    cfg.trials = 3;
-    cfg.measure_cycles = 30'000;
-    cfg.seed = 11;
-    cfg.threads = threads;
-    cfg.events_per_kcycle = rate;
-    cfg.reconfig_warmup = 2'000;
-    return cfg;
-}
+using testing::expect_same_sweep;
 
-void expect_identical(const reconfig_result& a, const reconfig_result& b) {
-    // Bitwise-equal aggregates: any divergence (scheduling, shared rng,
-    // float summation order) would show up here.
-    EXPECT_EQ(a.miss_ratio.samples(), b.miss_ratio.samples());
-    EXPECT_EQ(a.reconfig_latency_cycles.samples(),
-              b.reconfig_latency_cycles.samples());
-    EXPECT_EQ(a.submitted, b.submitted);
-    EXPECT_EQ(a.admitted, b.admitted);
-    EXPECT_EQ(a.committed, b.committed);
-    EXPECT_EQ(a.rolled_back, b.rolled_back);
-    EXPECT_EQ(a.rejected_infeasible, b.rejected_infeasible);
-    EXPECT_EQ(a.rejected_overutilized, b.rejected_overutilized);
-    EXPECT_EQ(a.rejected_path_hazard, b.rejected_path_hazard);
-    EXPECT_EQ(a.transition_misses, b.transition_misses);
-    EXPECT_EQ(a.applied_unchecked, b.applied_unchecked);
-    EXPECT_EQ(a.windows_checked, b.windows_checked);
-    EXPECT_EQ(a.violating_windows, b.violating_windows);
-    EXPECT_EQ(a.supply_shortfall_alarms, b.supply_shortfall_alarms);
-    EXPECT_EQ(a.shed_events, b.shed_events);
-    EXPECT_EQ(a.restore_events, b.restore_events);
-    EXPECT_EQ(a.shed_client_cycles, b.shed_client_cycles);
-    EXPECT_EQ(a.hard_misses, b.hard_misses);
-    EXPECT_EQ(a.best_effort_misses, b.best_effort_misses);
-    EXPECT_EQ(a.shed_deferrals, b.shed_deferrals);
-    EXPECT_EQ(a.live_reconfigurations, b.live_reconfigurations);
-    EXPECT_EQ(a.feasible_trials, b.feasible_trials);
+scenario small_scenario(unsigned threads, double rate) {
+    scenario s;
+    s.trials = 3;
+    s.measure_cycles = 30'000;
+    s.seed = 11;
+    s.threads = threads;
+    s.collect_metrics = true;
+    s.workload.best_effort_clients = 4;
+    s.client_retry = true;
+    s.health = core::health_config{};
+    s.watchdog = core::watchdog_config{};
+    s.reconfig = core::reconfig_config{};
+    s.requests = sim::reconfig_schedule_config{.warmup = 2'000,
+                                               .events_per_kcycle = rate};
+    return s;
 }
 
 TEST(reconfig_experiment, parallel_sweep_matches_serial) {
-    auto serial_cfg = small_config(1, 0.5);
-    auto parallel_cfg = small_config(4, 0.5);
+    auto serial_s = small_scenario(1, 0.5);
+    auto parallel_s = small_scenario(4, 0.5);
     // Include concurrent faults so hazard rollbacks are exercised too.
-    serial_cfg.fault_intensity = parallel_cfg.fault_intensity = 0.3;
-    const auto serial = run_reconfig(ic_kind::bluescale, serial_cfg);
-    const auto parallel = run_reconfig(ic_kind::bluescale, parallel_cfg);
-    expect_identical(serial, parallel);
+    serial_s.faults = parallel_s.faults =
+        sim::fault_campaign_config{.events_per_kcycle = 0.3};
+    const auto serial = run_sweep(ic_kind::bluescale, serial_s);
+    const auto parallel = run_sweep(ic_kind::bluescale, parallel_s);
+    expect_same_sweep(serial, parallel);
 }
 
 TEST(reconfig_experiment, baseline_parallel_sweep_matches_serial) {
-    const auto serial =
-        run_reconfig(ic_kind::bluetree, small_config(1, 0.5));
+    const auto serial = run_sweep(ic_kind::bluetree, small_scenario(1, 0.5));
     const auto parallel =
-        run_reconfig(ic_kind::bluetree, small_config(4, 0.5));
-    expect_identical(serial, parallel);
+        run_sweep(ic_kind::bluetree, small_scenario(4, 0.5));
+    expect_same_sweep(serial, parallel);
 }
 
 TEST(reconfig_experiment, repeated_run_is_reproducible) {
-    const auto a = run_reconfig(ic_kind::bluescale, small_config(2, 0.5));
-    const auto b = run_reconfig(ic_kind::bluescale, small_config(2, 0.5));
-    expect_identical(a, b);
+    const auto a = run_sweep(ic_kind::bluescale, small_scenario(2, 0.5));
+    const auto b = run_sweep(ic_kind::bluescale, small_scenario(2, 0.5));
+    expect_same_sweep(a, b);
 }
 
 TEST(reconfig_experiment, bluescale_admits_and_commits) {
-    const auto r = run_reconfig(ic_kind::bluescale, small_config(2, 0.5));
-    EXPECT_GT(r.submitted, 0u);
-    EXPECT_GT(r.admitted, 0u);
-    EXPECT_GT(r.committed, 0u);
-    EXPECT_EQ(r.applied_unchecked, 0u);
+    const auto r = run_sweep(ic_kind::bluescale, small_scenario(2, 0.5));
+    EXPECT_GT(r.count("submitted"), 0u);
+    EXPECT_GT(r.count("admitted"), 0u);
+    EXPECT_GT(r.count("committed"), 0u);
+    EXPECT_EQ(r.count("applied_unchecked"), 0u);
     // Every commit -- and nothing else -- swaps a live task set.
-    EXPECT_EQ(r.live_reconfigurations, r.committed);
-    EXPECT_GT(r.reconfig_latency_cycles.count(), 0u);
-    EXPECT_GT(r.reconfig_latency_cycles.mean(), 0.0);
-    EXPECT_GT(r.windows_checked, 0u);
+    EXPECT_EQ(r.count("live_reconfigurations"), r.count("committed"));
+    EXPECT_GT(r.series("reconfig_latency_cycles").count(), 0u);
+    EXPECT_GT(r.series("reconfig_latency_cycles").mean(), 0.0);
+    EXPECT_GT(r.count("windows_checked"), 0u);
+    // The ratio is derived from the merged counters.
+    EXPECT_DOUBLE_EQ(r.ratio("admission_ratio"),
+                     static_cast<double>(r.count("admitted")) /
+                         static_cast<double>(r.count("submitted")));
 }
 
 TEST(reconfig_experiment, baseline_applies_unconditionally) {
-    const auto r = run_reconfig(ic_kind::bluetree, small_config(2, 0.5));
-    EXPECT_EQ(r.submitted, 0u);
-    EXPECT_EQ(r.admitted, 0u);
-    EXPECT_GT(r.applied_unchecked, 0u);
-    EXPECT_EQ(r.live_reconfigurations, r.applied_unchecked);
+    const auto r = run_sweep(ic_kind::bluetree, small_scenario(2, 0.5));
+    EXPECT_EQ(r.count("submitted"), 0u);
+    EXPECT_EQ(r.count("admitted"), 0u);
+    EXPECT_GT(r.count("applied_unchecked"), 0u);
+    EXPECT_EQ(r.count("live_reconfigurations"), r.count("applied_unchecked"));
     // No admission control, no watchdog: the counters stay silent.
-    EXPECT_EQ(r.windows_checked, 0u);
-    EXPECT_EQ(r.shed_events, 0u);
+    EXPECT_EQ(r.count("windows_checked"), 0u);
+    EXPECT_EQ(r.count("shed_events"), 0u);
 }
 
 TEST(reconfig_experiment, zero_rate_means_no_requests) {
-    const auto r = run_reconfig(ic_kind::bluescale, small_config(2, 0.0));
-    EXPECT_EQ(r.submitted, 0u);
-    EXPECT_EQ(r.committed, 0u);
-    EXPECT_EQ(r.live_reconfigurations, 0u);
+    const auto r = run_sweep(ic_kind::bluescale, small_scenario(2, 0.0));
+    EXPECT_EQ(r.count("submitted"), 0u);
+    EXPECT_EQ(r.count("committed"), 0u);
+    EXPECT_EQ(r.count("live_reconfigurations"), 0u);
 }
 
 TEST(reconfig_experiment, rejected_churn_is_bit_identical_to_no_requests) {
@@ -110,28 +95,31 @@ TEST(reconfig_experiment, rejected_churn_is_bit_identical_to_no_requests) {
     // other clients hold, so every admission test must reject -- and a
     // fully rejected run must leave every client metric bit-identical to
     // a run where no request ever arrived.
-    auto churn_cfg = small_config(2, 0.5);
-    churn_cfg.schedule.scale_up_weight = 0.0;
-    churn_cfg.schedule.scale_down_weight = 0.0;
-    churn_cfg.schedule.join_weight = 1.0;
-    churn_cfg.schedule.leave_weight = 0.0;
-    churn_cfg.schedule.magnitude_lo = 1.5;
-    churn_cfg.schedule.magnitude_hi = 2.0;
-    const auto churn = run_reconfig(ic_kind::bluescale, churn_cfg);
-    const auto quiet = run_reconfig(ic_kind::bluescale, small_config(2, 0.0));
+    auto churn_s = small_scenario(2, 0.5);
+    churn_s.requests->scale_up_weight = 0.0;
+    churn_s.requests->scale_down_weight = 0.0;
+    churn_s.requests->join_weight = 1.0;
+    churn_s.requests->leave_weight = 0.0;
+    churn_s.requests->magnitude_lo = 1.5;
+    churn_s.requests->magnitude_hi = 2.0;
+    const auto churn = run_sweep(ic_kind::bluescale, churn_s);
+    const auto quiet = run_sweep(ic_kind::bluescale, small_scenario(2, 0.0));
 
-    EXPECT_GT(churn.submitted, 0u);
-    EXPECT_EQ(churn.admitted, 0u);
-    EXPECT_EQ(churn.committed, 0u);
-    EXPECT_GT(churn.rejected_infeasible + churn.rejected_overutilized, 0u);
-    EXPECT_EQ(churn.live_reconfigurations, 0u);
+    EXPECT_GT(churn.count("submitted"), 0u);
+    EXPECT_EQ(churn.count("admitted"), 0u);
+    EXPECT_EQ(churn.count("committed"), 0u);
+    EXPECT_GT(churn.count("rejected_infeasible") +
+                  churn.count("rejected_overutilized"),
+              0u);
+    EXPECT_EQ(churn.count("live_reconfigurations"), 0u);
 
     // Zero perturbation, observed end to end through the whole stack.
-    EXPECT_EQ(churn.miss_ratio.samples(), quiet.miss_ratio.samples());
-    EXPECT_EQ(churn.hard_misses, quiet.hard_misses);
-    EXPECT_EQ(churn.best_effort_misses, quiet.best_effort_misses);
-    EXPECT_EQ(churn.violating_windows, quiet.violating_windows);
-    EXPECT_EQ(churn.shed_events, quiet.shed_events);
+    EXPECT_EQ(churn.series("miss_ratio").samples(),
+              quiet.series("miss_ratio").samples());
+    for (const char* name : {"hard_misses", "best_effort_misses",
+                             "violating_windows", "shed_events"}) {
+        EXPECT_EQ(churn.count(name), quiet.count(name)) << name;
+    }
 }
 
 } // namespace

@@ -1,67 +1,38 @@
-// Acceptance gate for the analysis-service storm experiment: under
+// Acceptance gate for the analysis-service storm scenario: under
 // overload, worker crash/stall faults and fabric path hazards, no
 // request deadlocks or disappears -- every submission lands in exactly
-// one of {committed, rejected(reason), expired, shed}, the obs-snapshot
-// counts conserve, hard clients never miss, and the whole sweep is
-// byte-identical for any --threads setting and for the event vs
-// lockstep engines.
+// one of {committed, rejected(reason), expired, shed}, hard clients
+// never miss, and the whole sweep is byte-identical for any --threads
+// setting and for the event vs lockstep engines.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
-
-#include "harness/analysis_service_experiment.hpp"
-#include "obs/registry.hpp"
+#include "harness/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "../test_util.hpp"
 
 namespace bluescale::harness {
 namespace {
 
-class scoped_engine {
-public:
-    explicit scoped_engine(simulator::engine e) {
-        simulator::set_default_engine(e);
-    }
-    ~scoped_engine() { simulator::clear_default_engine(); }
-    scoped_engine(const scoped_engine&) = delete;
-    scoped_engine& operator=(const scoped_engine&) = delete;
-};
+using testing::expect_same_sweep;
+using testing::scoped_engine;
 
-svc_storm_config small_storm(unsigned threads) {
-    svc_storm_config cfg;
-    cfg.trials = 2;
-    cfg.measure_cycles = 12'000;
-    cfg.seed = 11;
-    cfg.threads = threads;
-    cfg.requests_per_kcycle = 4.0; // past the queue bound: shedding fires
-    cfg.service.default_deadline = 8'000;
-    cfg.worker_fault_intensity = 0.2;
-    cfg.path_fault_intensity = 0.05;
-    return cfg;
-}
-
-void expect_results_equal(const svc_storm_result& a,
-                          const svc_storm_result& b) {
-    EXPECT_EQ(a.submitted, b.submitted);
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.expired, b.expired);
-    EXPECT_EQ(a.committed, b.committed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.requeues, b.requeues);
-    EXPECT_EQ(a.worker_crashes, b.worker_crashes);
-    EXPECT_EQ(a.worker_stall_cycles, b.worker_stall_cycles);
-    EXPECT_EQ(a.cache_hits, b.cache_hits);
-    EXPECT_EQ(a.cache_misses, b.cache_misses);
-    EXPECT_EQ(a.breaker_trips, b.breaker_trips);
-    EXPECT_EQ(a.hard_misses, b.hard_misses);
-    EXPECT_EQ(a.conserved_trials, b.conserved_trials);
-    // Bit-exact sample aggregates, not just counts: a one-cycle timing
-    // slip between engines shows up here.
-    EXPECT_EQ(a.latency_cycles.mean(), b.latency_cycles.mean());
-    EXPECT_EQ(a.latency_cycles.max(), b.latency_cycles.max());
-    EXPECT_EQ(a.eval_cycles.mean(), b.eval_cycles.mean());
+scenario small_storm(unsigned threads) {
+    scenario s;
+    s.trials = 2;
+    s.measure_cycles = 12'000;
+    s.seed = 11;
+    s.threads = threads;
+    s.collect_metrics = true;
+    s.workload.best_effort_clients = 4;
+    s.client_retry = true;
+    s.faults = sim::fault_campaign_config{.events_per_kcycle = 0.05};
+    s.reconfig = core::reconfig_config{};
+    // Past the queue bound: shedding fires.
+    s.requests = sim::reconfig_schedule_config{.warmup = 2'000,
+                                               .events_per_kcycle = 4.0};
+    s.service = service_stage{.worker_fault_intensity = 0.2};
+    s.service->config.default_deadline = 8'000;
+    return s;
 }
 
 TEST(svc_storm, conserves_requests_and_protects_hard_clients) {
@@ -69,57 +40,44 @@ TEST(svc_storm, conserves_requests_and_protects_hard_clients) {
     // legitimately stall a hard client's subtree, which is the supply
     // watchdog's problem, not the service's. The service-level storm
     // must never touch the fabric's hard guarantees.
-    auto cfg = small_storm(1);
-    cfg.path_fault_intensity = 0.0;
-    const auto r = run_svc_storm(cfg);
-    EXPECT_EQ(r.feasible_trials, r.trials);
-    EXPECT_EQ(r.drained_trials, r.trials);
-    EXPECT_EQ(r.conserved_trials, r.trials);
-    EXPECT_GT(r.submitted, 0u);
+    auto s = small_storm(1);
+    s.faults.reset();
+    const auto r = run_sweep(ic_kind::bluescale, s);
+    EXPECT_EQ(r.count("feasible_trials"), s.trials);
+    EXPECT_EQ(r.count("drained_trials"), s.trials);
+    EXPECT_EQ(r.count("conserved_trials"), s.trials);
+    EXPECT_GT(r.count("submitted"), 0u);
     // Exactly one terminal outcome per request, summed over all trials.
-    EXPECT_EQ(r.submitted, r.shed + r.expired + r.committed + r.rejected);
+    EXPECT_EQ(r.count("submitted"), r.count("shed") + r.count("expired") +
+                                        r.count("committed") +
+                                        r.count("rejected"));
     // The storm actually overloads: the bounded queue shed work, and the
     // robustness machinery saw real faults.
-    EXPECT_GT(r.shed, 0u);
-    EXPECT_GT(r.worker_crashes + r.worker_stall_cycles, 0u);
+    EXPECT_GT(r.count("shed"), 0u);
+    EXPECT_GT(r.count("worker_crashes") + r.count("worker_stall_cycles"),
+              0u);
     // Hard real-time clients ride through the whole storm untouched.
-    EXPECT_EQ(r.hard_misses, 0u);
-}
-
-TEST(svc_storm, obs_totals_match_the_aggregates) {
-    auto cfg = small_storm(1);
-    const auto r = run_svc_storm(cfg);
-    const auto cells = obs::metric_cells(
-        r.totals, {"svc_exp/submitted", "svc_exp/shed", "svc_exp/expired",
-                   "svc_exp/committed", "svc_exp/rejected",
-                   "svc_exp/conserved_trials"});
-    ASSERT_EQ(cells.size(), 6u);
-    EXPECT_EQ(cells[0], std::to_string(r.submitted));
-    EXPECT_EQ(cells[1], std::to_string(r.shed));
-    EXPECT_EQ(cells[2], std::to_string(r.expired));
-    EXPECT_EQ(cells[3], std::to_string(r.committed));
-    EXPECT_EQ(cells[4], std::to_string(r.rejected));
-    EXPECT_EQ(cells[5], std::to_string(r.conserved_trials));
+    EXPECT_EQ(r.count("hard_misses"), 0u);
 }
 
 TEST(svc_storm, thread_count_does_not_change_results) {
-    const auto one = run_svc_storm(small_storm(1));
-    const auto four = run_svc_storm(small_storm(4));
-    expect_results_equal(one, four);
+    const auto one = run_sweep(ic_kind::bluescale, small_storm(1));
+    const auto four = run_sweep(ic_kind::bluescale, small_storm(4));
+    expect_same_sweep(one, four);
 }
 
 TEST(svc_storm, event_and_lockstep_engines_agree) {
-    svc_storm_result event_r;
+    sweep_result event_r;
     {
         scoped_engine guard(simulator::engine::event);
-        event_r = run_svc_storm(small_storm(2));
+        event_r = run_sweep(ic_kind::bluescale, small_storm(2));
     }
-    svc_storm_result lockstep_r;
+    sweep_result lockstep_r;
     {
         scoped_engine guard(simulator::engine::lockstep);
-        lockstep_r = run_svc_storm(small_storm(2));
+        lockstep_r = run_sweep(ic_kind::bluescale, small_storm(2));
     }
-    expect_results_equal(event_r, lockstep_r);
+    expect_same_sweep(event_r, lockstep_r);
 }
 
 } // namespace

@@ -13,13 +13,12 @@
 #include "analysis/tree_analysis.hpp"
 #include "core/bluescale_ic.hpp"
 #include "harness/factory.hpp"
-#include "harness/fig6_experiment.hpp"
-#include "harness/reconfig_experiment.hpp"
-#include "harness/resilience_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "mem/memory_controller.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "../test_util.hpp"
 #include "workload/memory_task.hpp"
 #include "workload/taskset_gen.hpp"
 #include "workload/traffic_generator.hpp"
@@ -27,65 +26,45 @@
 namespace bluescale::harness {
 namespace {
 
-/// Pins the process-wide default engine for one run and always restores
-/// the environment-derived default afterwards, so test order cannot leak
-/// an override into unrelated suites.
-class scoped_engine {
-public:
-    explicit scoped_engine(simulator::engine e) {
-        simulator::set_default_engine(e);
+using testing::expect_same_sweep;
+using testing::scoped_engine;
+using testing::snapshot_csv;
+using testing::trace_json;
+
+scenario fig6_scenario(unsigned threads) {
+    scenario s;
+    s.workload.n_clients = 16;
+    s.trials = 4;
+    s.measure_cycles = 8'000;
+    s.seed = 7;
+    s.threads = threads;
+    s.seeding = client_seeding::fig6_xor;
+    s.collect_metrics = true;
+    s.metrics_before_finalize = true;
+    s.collect_trace = true;
+    return s;
+}
+
+/// The same scenario under both engines: totals, metrics and trace must
+/// agree byte for byte.
+void expect_engines_agree(ic_kind kind, const scenario& s) {
+    sweep_result event_r, lockstep_r;
+    {
+        scoped_engine guard(simulator::engine::event);
+        event_r = run_sweep(kind, s);
     }
-    ~scoped_engine() { simulator::clear_default_engine(); }
-    scoped_engine(const scoped_engine&) = delete;
-    scoped_engine& operator=(const scoped_engine&) = delete;
-};
-
-std::string metrics_csv(const obs::snapshot& snap) {
-    std::ostringstream os;
-    snap.write_csv(os);
-    return os.str();
-}
-
-std::string trace_json(const obs::trace_export& trace) {
-    std::ostringstream os;
-    trace.write_chrome_json(os);
-    return os.str();
-}
-
-fig6_config fig6_cfg(unsigned threads) {
-    fig6_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 4;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 7;
-    cfg.threads = threads;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-    return cfg;
-}
-
-template <typename Result>
-void expect_equal_exports(const Result& event, const Result& lockstep) {
-    ASSERT_FALSE(event.metrics.empty());
-    EXPECT_EQ(metrics_csv(event.metrics), metrics_csv(lockstep.metrics));
-    EXPECT_EQ(trace_json(event.trace), trace_json(lockstep.trace));
+    {
+        scoped_engine guard(simulator::engine::lockstep);
+        lockstep_r = run_sweep(kind, s);
+    }
+    ASSERT_FALSE(event_r.metrics.empty());
+    expect_same_sweep(event_r, lockstep_r);
 }
 
 TEST(engine_equivalence, fig6_all_designs_bit_identical) {
     for (const ic_kind kind : k_all_kinds) {
-        fig6_result event_r, lockstep_r;
-        {
-            scoped_engine guard(simulator::engine::event);
-            event_r = run_fig6(kind, fig6_cfg(1));
-        }
-        {
-            scoped_engine guard(simulator::engine::lockstep);
-            lockstep_r = run_fig6(kind, fig6_cfg(1));
-        }
         SCOPED_TRACE(kind_name(kind));
-        expect_equal_exports(event_r, lockstep_r);
-        EXPECT_EQ(event_r.blocking_us.mean(), lockstep_r.blocking_us.mean());
-        EXPECT_EQ(event_r.miss_ratio.mean(), lockstep_r.miss_ratio.mean());
+        expect_engines_agree(kind, fig6_scenario(1));
     }
 }
 
@@ -93,40 +72,32 @@ TEST(engine_equivalence, fig6_event_engine_thread_invariant) {
     // The event engine must keep the determinism contract lockstep
     // already honours: per-trial simulations are independent, so the
     // sweep's thread count cannot change a byte of the export.
-    fig6_result serial, parallel;
+    sweep_result serial, parallel;
     {
         scoped_engine guard(simulator::engine::event);
-        serial = run_fig6(ic_kind::bluescale, fig6_cfg(1));
-        parallel = run_fig6(ic_kind::bluescale, fig6_cfg(4));
+        serial = run_sweep(ic_kind::bluescale, fig6_scenario(1));
+        parallel = run_sweep(ic_kind::bluescale, fig6_scenario(4));
     }
-    expect_equal_exports(serial, parallel);
+    ASSERT_FALSE(serial.metrics.empty());
+    expect_same_sweep(serial, parallel);
 }
 
 TEST(engine_equivalence, resilience_faulty_run_bit_identical) {
     // Fault campaigns exercise the wake paths idle skipping must never
     // sleep through: injected storms, link drops, retry timeouts, ECC
     // reissues.
-    resilience_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 3;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 11;
-    cfg.fault_intensity = 1.0;
-    cfg.threads = 4;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-
-    resilience_result event_r, lockstep_r;
-    {
-        scoped_engine guard(simulator::engine::event);
-        event_r = run_resilience(ic_kind::bluescale, cfg);
-    }
-    {
-        scoped_engine guard(simulator::engine::lockstep);
-        lockstep_r = run_resilience(ic_kind::bluescale, cfg);
-    }
-    expect_equal_exports(event_r, lockstep_r);
-    EXPECT_EQ(metrics_csv(event_r.totals), metrics_csv(lockstep_r.totals));
+    scenario s;
+    s.workload.n_clients = 16;
+    s.trials = 3;
+    s.measure_cycles = 8'000;
+    s.seed = 11;
+    s.threads = 4;
+    s.client_retry = true;
+    s.health = core::health_config{};
+    s.faults = sim::fault_campaign_config{.events_per_kcycle = 1.0};
+    s.collect_metrics = true;
+    s.collect_trace = true;
+    expect_engines_agree(ic_kind::bluescale, s);
 }
 
 TEST(engine_equivalence, reconfig_run_bit_identical) {
@@ -134,28 +105,22 @@ TEST(engine_equivalence, reconfig_run_bit_identical) {
     // components sleep; the admission/watchdog supervisors are the
     // components with the longest horizons, so this is the sternest test
     // of the wake protocol.
-    reconfig_exp_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 3;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 13;
-    cfg.events_per_kcycle = 2.0;
-    cfg.reconfig_warmup = 1'000;
-    cfg.threads = 4;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-
-    reconfig_result event_r, lockstep_r;
-    {
-        scoped_engine guard(simulator::engine::event);
-        event_r = run_reconfig(ic_kind::bluescale, cfg);
-    }
-    {
-        scoped_engine guard(simulator::engine::lockstep);
-        lockstep_r = run_reconfig(ic_kind::bluescale, cfg);
-    }
-    expect_equal_exports(event_r, lockstep_r);
-    EXPECT_EQ(metrics_csv(event_r.totals), metrics_csv(lockstep_r.totals));
+    scenario s;
+    s.workload.n_clients = 16;
+    s.trials = 3;
+    s.measure_cycles = 8'000;
+    s.seed = 13;
+    s.threads = 4;
+    s.workload.best_effort_clients = 4;
+    s.client_retry = true;
+    s.health = core::health_config{};
+    s.watchdog = core::watchdog_config{};
+    s.reconfig = core::reconfig_config{};
+    s.requests = sim::reconfig_schedule_config{.warmup = 1'000,
+                                               .events_per_kcycle = 2.0};
+    s.collect_metrics = true;
+    s.collect_trace = true;
+    expect_engines_agree(ic_kind::bluescale, s);
 }
 
 /// Everything a depth-4 trial exports: per-client results as CSV, the
@@ -259,7 +224,7 @@ deep_exports run_deep_tree(simulator::engine engine,
     csv << "stall_windows," << stall_windows << '\n';
     csv << "link_dropped," << ic.link_dropped() << '\n';
     out.csv = csv.str();
-    out.metrics = metrics_csv(reg.take_snapshot());
+    out.metrics = snapshot_csv(reg.take_snapshot());
     out.trace = trace_json(sink.export_all());
     return out;
 }

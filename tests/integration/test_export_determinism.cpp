@@ -1,103 +1,89 @@
 // The acceptance gate for the observability layer: the --metrics and
-// --trace exports of the fig6 and resilience experiments are
+// --trace exports of the fig6 and resilience scenarios are
 // byte-identical for any --threads setting. Serializes through the same
 // obs writers the bench_cli --metrics/--trace flags use.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
-
 #include "harness/factory.hpp"
-#include "harness/fig6_experiment.hpp"
-#include "harness/resilience_experiment.hpp"
+#include "harness/scenario.hpp"
+#include "../test_util.hpp"
 
 namespace bluescale::harness {
 namespace {
 
-std::string metrics_csv(const obs::snapshot& snap) {
-    std::ostringstream os;
-    snap.write_csv(os);
-    return os.str();
-}
+using testing::expect_same_sweep;
+using testing::snapshot_csv;
+using testing::trace_csv;
 
-std::string trace_csv(const obs::trace_export& trace) {
-    std::ostringstream os;
-    trace.write_csv(os);
-    return os.str();
-}
-
-std::string trace_json(const obs::trace_export& trace) {
-    std::ostringstream os;
-    trace.write_chrome_json(os);
-    return os.str();
-}
-
-fig6_config fig6_export_config(unsigned threads) {
-    fig6_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 4;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 7;
-    cfg.threads = threads;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-    return cfg;
+scenario fig6_export_scenario(unsigned threads) {
+    scenario s;
+    s.workload.n_clients = 16;
+    s.trials = 4;
+    s.measure_cycles = 8'000;
+    s.seed = 7;
+    s.threads = threads;
+    s.seeding = client_seeding::fig6_xor;
+    s.collect_metrics = true;
+    s.metrics_before_finalize = true;
+    s.collect_trace = true;
+    return s;
 }
 
 TEST(export_determinism, fig6_exports_bit_identical_across_threads) {
-    const auto serial = run_fig6(ic_kind::bluescale, fig6_export_config(1));
-    const auto parallel = run_fig6(ic_kind::bluescale, fig6_export_config(4));
+    const auto serial = run_sweep(ic_kind::bluescale, fig6_export_scenario(1));
+    const auto parallel =
+        run_sweep(ic_kind::bluescale, fig6_export_scenario(4));
 
     ASSERT_FALSE(serial.metrics.empty());
-    EXPECT_EQ(metrics_csv(serial.metrics), metrics_csv(parallel.metrics));
+    expect_same_sweep(serial, parallel);
     EXPECT_EQ(trace_csv(serial.trace), trace_csv(parallel.trace));
-    EXPECT_EQ(trace_json(serial.trace), trace_json(parallel.trace));
 }
 
 TEST(export_determinism, fig6_profile_never_leaks_into_metrics) {
-    auto cfg = fig6_export_config(2);
-    cfg.trials = 2;
-    cfg.profile = true;
-    const auto r = run_fig6(ic_kind::bluescale, cfg);
+    auto s = fig6_export_scenario(2);
+    s.trials = 2;
+    s.profile = true;
+    const auto r = run_sweep(ic_kind::bluescale, s);
+    EXPECT_FALSE(r.profile.empty());
     for (const auto& [name, value] : r.metrics.entries()) {
         EXPECT_EQ(value.flags & obs::k_metric_profile, 0u) << name;
         EXPECT_NE(name.rfind("profile/", 0), 0u) << name;
     }
     // And the deterministic export is unchanged by profiling being on.
-    auto plain = fig6_export_config(2);
-    plain.trials = 2;
-    const auto base = run_fig6(ic_kind::bluescale, plain);
-    EXPECT_EQ(metrics_csv(base.metrics), metrics_csv(r.metrics));
+    s.profile = false;
+    const auto base = run_sweep(ic_kind::bluescale, s);
+    EXPECT_EQ(snapshot_csv(base.metrics), snapshot_csv(r.metrics));
 }
 
-resilience_config resilience_export_config(unsigned threads) {
-    resilience_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 3;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 11;
-    cfg.fault_intensity = 1.0;
-    cfg.threads = threads;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-    return cfg;
+scenario resilience_export_scenario(unsigned threads) {
+    scenario s;
+    s.workload.n_clients = 16;
+    s.trials = 3;
+    s.measure_cycles = 8'000;
+    s.seed = 11;
+    s.threads = threads;
+    s.client_retry = true;
+    s.health = core::health_config{};
+    s.faults = sim::fault_campaign_config{.events_per_kcycle = 1.0};
+    s.collect_metrics = true;
+    s.collect_trace = true;
+    return s;
 }
 
 TEST(export_determinism, resilience_exports_bit_identical_across_threads) {
     const auto serial =
-        run_resilience(ic_kind::bluescale, resilience_export_config(1));
+        run_sweep(ic_kind::bluescale, resilience_export_scenario(1));
     const auto parallel =
-        run_resilience(ic_kind::bluescale, resilience_export_config(4));
+        run_sweep(ic_kind::bluescale, resilience_export_scenario(4));
 
     ASSERT_FALSE(serial.metrics.empty());
-    EXPECT_EQ(metrics_csv(serial.metrics), metrics_csv(parallel.metrics));
-    EXPECT_EQ(metrics_csv(serial.totals), metrics_csv(parallel.totals));
+    expect_same_sweep(serial, parallel);
     EXPECT_EQ(trace_csv(serial.trace), trace_csv(parallel.trace));
 }
 
 #if BLUESCALE_TRACE_ENABLED
 TEST(export_determinism, fig6_trace_carries_fabric_events) {
-    const auto r = run_fig6(ic_kind::bluescale, fig6_export_config(2));
+    const auto r = run_sweep(ic_kind::bluescale, fig6_export_scenario(2));
     ASSERT_FALSE(r.trace.events.empty());
     bool saw_grant = false;
     for (const auto& e : r.trace.events) {

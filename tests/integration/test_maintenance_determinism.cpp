@@ -8,97 +8,76 @@
 // as a diff, not as a silently shifted result.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
-
-#include "harness/maintenance_experiment.hpp"
+#include "harness/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "../test_util.hpp"
 
 namespace bluescale::harness {
 namespace {
 
-/// Pins the process-wide default engine for one run and always restores
-/// the environment-derived default afterwards, so test order cannot leak
-/// an override into unrelated suites.
-class scoped_engine {
-public:
-    explicit scoped_engine(simulator::engine e) {
-        simulator::set_default_engine(e);
-    }
-    ~scoped_engine() { simulator::clear_default_engine(); }
-    scoped_engine(const scoped_engine&) = delete;
-    scoped_engine& operator=(const scoped_engine&) = delete;
-};
-
-std::string snapshot_csv(const obs::snapshot& snap) {
-    std::ostringstream os;
-    snap.write_csv(os);
-    return os.str();
-}
-
-std::string trace_json(const obs::trace_export& trace) {
-    std::ostringstream os;
-    trace.write_chrome_json(os);
-    return os.str();
-}
+using testing::expect_same_sweep;
+using testing::scoped_engine;
 
 /// All three maintenance mechanisms on, plus storms: the config's whole
 /// point is to exercise every maintenance wake path (refresh boundary,
 /// scrub slot, hammer mitigation, injected storm) in one short run.
-/// Unaware mode so admission never refuses a trial and every seed
+/// Unaware admission (the raw sbf) so no trial is refused and every seed
 /// simulates.
-maintenance_exp_config det_cfg(unsigned threads) {
-    maintenance_exp_config cfg;
-    cfg.trials = 3;
-    cfg.measure_cycles = 12'000;
-    cfg.seed = 3;
-    cfg.threads = threads;
-    cfg.maintenance_aware = false;
-    cfg.memctrl.timing.t_refi = 975;
-    cfg.memctrl.timing.t_rfc = 65;
-    cfg.memctrl.maintenance.scrub_interval = 1024;
-    cfg.memctrl.maintenance.scrub_duration = 16;
-    cfg.memctrl.maintenance.hammer_threshold = 128;
-    cfg.memctrl.maintenance.hammer_mitigation_cycles = 16;
-    cfg.storm_intensity = 0.4;
-    cfg.watchdog.check_period = 512;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-    return cfg;
-}
-
-void expect_equal_exports(const maintenance_exp_result& a,
-                          const maintenance_exp_result& b) {
-    ASSERT_FALSE(a.metrics.empty());
-    EXPECT_EQ(snapshot_csv(a.totals), snapshot_csv(b.totals));
-    EXPECT_EQ(snapshot_csv(a.metrics), snapshot_csv(b.metrics));
-    EXPECT_EQ(trace_json(a.trace), trace_json(b.trace));
-    EXPECT_EQ(a.refreshes, b.refreshes);
-    EXPECT_EQ(a.scrubs, b.scrubs);
-    EXPECT_EQ(a.hammer_mitigations, b.hammer_mitigations);
-    EXPECT_EQ(a.maintenance_stolen_cycles, b.maintenance_stolen_cycles);
-    EXPECT_EQ(a.maintenance_storm_cycles, b.maintenance_storm_cycles);
-    EXPECT_EQ(a.hard_misses, b.hard_misses);
-    EXPECT_EQ(a.best_effort_misses, b.best_effort_misses);
+scenario det_scenario(unsigned threads) {
+    scenario s;
+    s.trials = 3;
+    s.measure_cycles = 12'000;
+    s.seed = 3;
+    s.threads = threads;
+    s.workload.util_lo = 0.40;
+    s.workload.util_hi = 0.60;
+    s.workload.taskset = {.n_tasks = 3,
+                          .total_utilization = 0.05,
+                          .min_period_units = 300,
+                          .max_period_units = 1500,
+                          .write_fraction = 0.3};
+    s.workload.best_effort_clients = 4;
+    s.memctrl.timing.t_refi = 975;
+    s.memctrl.timing.t_rfc = 65;
+    s.memctrl.maintenance.scrub_interval = 1024;
+    s.memctrl.maintenance.scrub_duration = 16;
+    s.memctrl.maintenance.hammer_threshold = 128;
+    s.memctrl.maintenance.hammer_mitigation_cycles = 16;
+    s.bandwidth_tolerance = 0.10;
+    s.skip_refused_trials = true;
+    s.faults = sim::fault_campaign_config{.events_per_kcycle = 0.4,
+                                          .se_stall_weight = 0.0,
+                                          .link_drop_weight = 0.0,
+                                          .dram_error_weight = 0.0,
+                                          .backpressure_weight = 0.0,
+                                          .maintenance_storm_weight = 1.0,
+                                          .min_duration = 64,
+                                          .max_duration = 256};
+    s.watchdog = core::watchdog_config{};
+    s.watchdog->check_period = 512;
+    s.collect_metrics = true;
+    s.collect_trace = true;
+    return s;
 }
 
 TEST(maintenance_determinism, event_matches_lockstep_at_threads_1_and_4) {
     for (const unsigned threads : {1u, 4u}) {
-        maintenance_exp_result event_r, lockstep_r;
+        sweep_result event_r, lockstep_r;
         {
             scoped_engine guard(simulator::engine::event);
-            event_r = run_maintenance_experiment(det_cfg(threads));
+            event_r = run_sweep(ic_kind::bluescale, det_scenario(threads));
         }
         {
             scoped_engine guard(simulator::engine::lockstep);
-            lockstep_r = run_maintenance_experiment(det_cfg(threads));
+            lockstep_r = run_sweep(ic_kind::bluescale, det_scenario(threads));
         }
         SCOPED_TRACE(threads);
         // The run must have real maintenance traffic to compare.
-        EXPECT_GT(event_r.refreshes, 0u);
-        EXPECT_GT(event_r.scrubs, 0u);
-        EXPECT_GT(event_r.maintenance_storm_cycles, 0u);
-        expect_equal_exports(event_r, lockstep_r);
+        ASSERT_FALSE(event_r.metrics.empty());
+        EXPECT_GT(event_r.count("refreshes"), 0u);
+        EXPECT_GT(event_r.count("scrubs"), 0u);
+        EXPECT_GT(event_r.count("maintenance_storm_cycles"), 0u);
+        expect_same_sweep(event_r, lockstep_r);
     }
 }
 
@@ -106,11 +85,12 @@ TEST(maintenance_determinism, thread_count_invariant_per_engine) {
     for (const auto engine :
          {simulator::engine::event, simulator::engine::lockstep}) {
         scoped_engine guard(engine);
-        const auto serial = run_maintenance_experiment(det_cfg(1));
-        const auto parallel = run_maintenance_experiment(det_cfg(4));
+        const auto serial = run_sweep(ic_kind::bluescale, det_scenario(1));
+        const auto parallel = run_sweep(ic_kind::bluescale, det_scenario(4));
         SCOPED_TRACE(engine == simulator::engine::event ? "event"
                                                         : "lockstep");
-        expect_equal_exports(serial, parallel);
+        ASSERT_FALSE(serial.metrics.empty());
+        expect_same_sweep(serial, parallel);
     }
 }
 

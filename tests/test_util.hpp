@@ -2,10 +2,60 @@
 #pragma once
 
 #include <deque>
+#include <sstream>
+#include <string>
 
+#include <gtest/gtest.h>
+
+#include "harness/scenario.hpp"
 #include "interconnect/interconnect.hpp"
+#include "obs/registry.hpp"
+#include "obs/trace.hpp"
+#include "sim/simulator.hpp"
 
 namespace bluescale::testing {
+
+/// Pins the process-wide default engine for one run and always restores
+/// the environment-derived default afterwards, so test order cannot leak
+/// an override into unrelated suites.
+class scoped_engine {
+public:
+    explicit scoped_engine(simulator::engine e) {
+        simulator::set_default_engine(e);
+    }
+    ~scoped_engine() { simulator::clear_default_engine(); }
+    scoped_engine(const scoped_engine&) = delete;
+    scoped_engine& operator=(const scoped_engine&) = delete;
+};
+
+/// A snapshot as the --metrics exporter writes it: byte comparison of
+/// two of these compares every metric, not a hand-picked subset.
+inline std::string snapshot_csv(const obs::snapshot& snap) {
+    std::ostringstream os;
+    snap.write_csv(os);
+    return os.str();
+}
+
+inline std::string trace_csv(const obs::trace_export& trace) {
+    std::ostringstream os;
+    trace.write_csv(os);
+    return os.str();
+}
+
+inline std::string trace_json(const obs::trace_export& trace) {
+    std::ostringstream os;
+    trace.write_chrome_json(os);
+    return os.str();
+}
+
+/// Two sweeps agree byte for byte: every aggregate of the totals, every
+/// merged metric and the trial-0 trace, as the exporters write them.
+inline void expect_same_sweep(const harness::sweep_result& a,
+                              const harness::sweep_result& b) {
+    EXPECT_EQ(snapshot_csv(a.totals), snapshot_csv(b.totals));
+    EXPECT_EQ(snapshot_csv(a.metrics), snapshot_csv(b.metrics));
+    EXPECT_EQ(trace_json(a.trace), trace_json(b.trace));
+}
 
 /// Minimal interconnect: unbounded acceptance, completes every request a
 /// fixed number of cycles after injection, no memory behind it. Lets
