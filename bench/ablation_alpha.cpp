@@ -5,6 +5,11 @@
 // BlueScale's deadline-aware behaviour.
 //
 //   $ ./bench/ablation_alpha [--trials N] [--cycles N] [--threads N]
+//                            [--seed N] [--metrics out.csv]
+//                            [--trace out.json]
+//
+// --metrics and --trace export the BlueTree alpha=2 sweep (the paper's
+// setting).
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -29,6 +34,7 @@ int main(int argc, char** argv) {
     scenario s;
     s.trials = opts.trials;
     s.measure_cycles = opts.measure_cycles;
+    s.seed = opts.seed;
     s.threads = opts.threads;
     s.seeding = client_seeding::fig6_xor;
 
@@ -43,7 +49,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t alpha : {1u, 2u, 4u, 8u}) {
         s.bluetree_alpha = alpha;
         add_row("BlueTree alpha=" + std::to_string(alpha),
-                run_sweep(ic_kind::bluetree, s));
+                run_bench_sweep(opts, ic_kind::bluetree, s, alpha == 2));
     }
     s.bluetree_alpha = 2;
     add_row("BlueScale (reference)", run_sweep(ic_kind::bluescale, s));

@@ -4,6 +4,10 @@
 // blocking latency and deadline misses.
 //
 //   $ ./bench/ablation_buffer_depth [--trials N] [--cycles N] [--threads N]
+//                                   [--seed N] [--metrics out.csv]
+//                                   [--trace out.json]
+//
+// --metrics and --trace export the depth-8 sweep (the SE default).
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -29,13 +33,16 @@ int main(int argc, char** argv) {
     scenario s;
     s.trials = opts.trials;
     s.measure_cycles = opts.measure_cycles;
+    s.seed = opts.seed;
     s.threads = opts.threads;
     s.seeding = client_seeding::fig6_xor;
     for (std::size_t depth : {2u, 4u, 8u, 16u, 32u}) {
         core::se_params se;
         se.buffer_depth = depth;
         s.bluescale_se = se;
-        const sweep_result r = run_sweep(ic_kind::bluescale, s);
+        const sweep_result r = run_bench_sweep(
+            opts, ic_kind::bluescale, s,
+            depth == core::se_params{}.buffer_depth);
         t.add_row({std::to_string(depth),
                    stats::table::num(r.series("blocking_us").mean(), 3),
                    stats::table::num(r.series("worst_blocking_us").mean(), 2),

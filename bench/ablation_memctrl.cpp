@@ -3,6 +3,11 @@
 // bank-level parallelism; FCFS is strictly in-order.
 //
 //   $ ./bench/ablation_memctrl [--trials N] [--cycles N] [--threads N]
+//                              [--seed N] [--metrics out.csv]
+//                              [--trace out.json]
+//
+// --metrics and --trace export the BlueScale FR-FCFS sweep of the policy
+// table (the default controller, refresh off).
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -26,6 +31,7 @@ int main(int argc, char** argv) {
     scenario base;
     base.trials = opts.trials;
     base.measure_cycles = opts.measure_cycles;
+    base.seed = opts.seed;
     base.threads = opts.threads;
     base.seeding = client_seeding::fig6_xor;
 
@@ -37,7 +43,10 @@ int main(int argc, char** argv) {
              {memctrl_policy::fr_fcfs, memctrl_policy::fcfs}) {
             scenario s = base;
             s.memctrl.policy = policy;
-            const sweep_result r = run_sweep(kind, s);
+            const sweep_result r = run_bench_sweep(
+                opts, kind, s,
+                kind == ic_kind::bluescale &&
+                    policy == memctrl_policy::fr_fcfs);
             t.add_row({kind_name(kind),
                        policy == memctrl_policy::fcfs ? "FCFS" : "FR-FCFS",
                        stats::table::num(r.series("blocking_us").mean(), 3),

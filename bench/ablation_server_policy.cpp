@@ -4,6 +4,11 @@
 // slack-reclamation fallback contributes.
 //
 //   $ ./bench/ablation_server_policy [--trials N] [--cycles N] [--threads N]
+//                                    [--seed N] [--metrics out.csv]
+//                                    [--trace out.json]
+//
+// --metrics and --trace export the paper's variant (GEDF +
+// work-conserving).
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -42,6 +47,7 @@ int main(int argc, char** argv) {
     scenario s;
     s.trials = opts.trials;
     s.measure_cycles = opts.measure_cycles;
+    s.seed = opts.seed;
     s.threads = opts.threads;
     s.seeding = client_seeding::fig6_xor;
     for (const auto& v : variants) {
@@ -49,7 +55,10 @@ int main(int argc, char** argv) {
         se.policy = v.policy;
         se.work_conserving = v.work_conserving;
         s.bluescale_se = se;
-        const sweep_result r = run_sweep(ic_kind::bluescale, s);
+        const sweep_result r =
+            run_bench_sweep(opts, ic_kind::bluescale, s,
+                            v.policy == core::server_policy::gedf &&
+                                v.work_conserving);
         t.add_row({v.name,
                    stats::table::num(r.series("blocking_us").mean(), 3),
                    stats::table::num(r.series("worst_blocking_us").mean(), 2),

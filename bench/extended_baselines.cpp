@@ -4,6 +4,11 @@
 // between the heuristic trees and the deadline-aware designs.
 //
 //   $ ./bench/extended_baselines [--trials N] [--cycles N] [--threads N]
+//                                [--seed N] [--metrics out.csv]
+//                                [--trace out.json]
+//
+// --metrics and --trace export the AXI-HyperConnect sweep (the design
+// this bench adds).
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -28,13 +33,15 @@ int main(int argc, char** argv) {
     scenario s;
     s.trials = opts.trials;
     s.measure_cycles = opts.measure_cycles;
+    s.seed = opts.seed;
     s.threads = opts.threads;
     s.seeding = client_seeding::fig6_xor;
 
     stats::table t({"design", "blocking lat (us)", "worst (us)",
                     "miss ratio"});
     for (ic_kind kind : k_extended_kinds) {
-        const sweep_result r = run_sweep(kind, s);
+        const sweep_result r = run_bench_sweep(
+            opts, kind, s, kind == ic_kind::axi_hyperconnect);
         t.add_row({kind_name(kind),
                    stats::table::num(r.series("blocking_us").mean(), 3),
                    stats::table::num(r.series("worst_blocking_us").mean(), 2),

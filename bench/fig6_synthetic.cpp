@@ -37,9 +37,7 @@ void run_scale(std::uint32_t n_clients, const bench_options& opts,
     s.seed = opts.seed;
     s.threads = opts.threads;
     s.seeding = client_seeding::fig6_xor;
-    s.collect_metrics = export_obs && !opts.metrics_path.empty();
     s.metrics_before_finalize = true;
-    s.collect_trace = export_obs && !opts.trace_path.empty();
     s.profile = opts.profile;
 
     std::printf("\n=== Fig. 6(%c): %u traffic generators, %u trials, "
@@ -52,7 +50,8 @@ void run_scale(std::uint32_t n_clients, const bench_options& opts,
     stats::table prof_t({"design", "sim Mcyc/s", "sim wall (s)",
                          "sweep wall (s)"});
     for (ic_kind kind : k_all_kinds) {
-        const sweep_result r = run_sweep(kind, s);
+        const sweep_result r = run_bench_sweep(
+            opts, kind, s, export_obs && kind == ic_kind::bluescale);
         const auto& blocking = r.series("blocking_us");
         const auto& miss = r.series("miss_ratio");
         const double clock_mhz =
@@ -74,10 +73,6 @@ void run_scale(std::uint32_t n_clients, const bench_options& opts,
             }
             row.push_back(std::to_string(clock_mhz));
             csv->add_row(row);
-        }
-        if (kind == ic_kind::bluescale) {
-            if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
-            if (s.collect_trace) write_bench_trace(opts, r.trace);
         }
         if (opts.profile) {
             const auto count = [&r](const char* name) {

@@ -9,10 +9,14 @@
 //
 //   $ ./bench/maintenance [--trials N] [--cycles N] [--threads N]
 //                         [--seed N] [--csv out.csv]
+//                         [--metrics out.csv] [--trace out.json]
 //
 // --csv dumps one row per (mode, refresh, scrub, hammer) cell with the
 // raw aggregates (rendered through obs::metric_cells off the sweep's
 // totals); the file is byte-identical for any --threads setting.
+// --metrics and --trace export the maintenance-aware cell with DDR3
+// refresh and scrubbing on and RowHammer mitigation off (with mitigation
+// on as well, admission refuses most trials, leaving little to export).
 //
 // A trial whose admission analysis is infeasible is not simulated: it
 // adds zeros to the per-trial series and shows only in the
@@ -122,7 +126,10 @@ void run_mode(bool aware, const bench_options& opts,
                 s.memctrl.maintenance.hammer_mitigation_cycles =
                     hm.mitigation;
 
-                const sweep_result r = run_sweep(ic_kind::bluescale, s);
+                const sweep_result r = run_bench_sweep(
+                    opts, ic_kind::bluescale, s,
+                    aware && rf.t_refi == k_refresh[1].t_refi &&
+                        sc.interval != 0 && hm.threshold == 0);
                 const auto count = [&r](const char* name) {
                     return std::to_string(r.count(name));
                 };

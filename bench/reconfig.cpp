@@ -67,14 +67,8 @@ void run_design(ic_kind kind, const bench_options& opts,
             .warmup = 5'000, .events_per_kcycle = rate};
         // Obs exports cover the BlueScale design at the highest request
         // rate (the most eventful run on a timeline).
-        const bool export_obs =
-            kind == ic_kind::bluescale && rate == k_rates[2];
-        s.collect_metrics = export_obs && !opts.metrics_path.empty();
-        s.collect_trace = export_obs && !opts.trace_path.empty();
-
-        const sweep_result r = run_sweep(kind, s);
-        if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (s.collect_trace) write_bench_trace(opts, r.trace);
+        const sweep_result r = run_bench_sweep(
+            opts, kind, s, kind == ic_kind::bluescale && rate == k_rates[2]);
         const auto count = [&r](const char* name) {
             return std::to_string(r.count(name));
         };

@@ -60,14 +60,9 @@ void run_design(ic_kind kind, const bench_options& opts,
         s.faults = sim::fault_campaign_config{.events_per_kcycle = intensity};
         // Obs exports cover the BlueScale design at the highest intensity
         // (the most eventful run on a timeline).
-        const bool export_obs = kind == ic_kind::bluescale &&
-                                intensity == k_intensities[3];
-        s.collect_metrics = export_obs && !opts.metrics_path.empty();
-        s.collect_trace = export_obs && !opts.trace_path.empty();
-
-        const sweep_result r = run_sweep(kind, s);
-        if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (s.collect_trace) write_bench_trace(opts, r.trace);
+        const sweep_result r = run_bench_sweep(
+            opts, kind, s,
+            kind == ic_kind::bluescale && intensity == k_intensities[3]);
         const double p99 = r.series("p99_latency_cycles").mean();
         const double worst = r.series("worst_latency_cycles").mean();
         if (intensity == 0.0) {

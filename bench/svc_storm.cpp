@@ -5,9 +5,8 @@
 // server fronting core::reconfig_manager -- while worker crash/stall
 // faults and fabric path hazards run concurrently. Reports, per rate,
 // the outcome mix (committed / rejected / expired / shed), retry and
-// crash-requeue activity, result-cache hit rate, circuit-breaker trips
-// with degraded-precision answers, and the conservation + hard-client
-// acceptance checks.
+// crash-requeue activity, result-cache hit rate, and the conservation +
+// hard-client acceptance checks.
 //
 //   $ ./bench/svc_storm [--trials N] [--cycles N] [--threads N]
 //                       [--seed N] [--csv out.csv]
@@ -54,7 +53,6 @@ int main(int argc, char** argv) {
          "rejected_path_hazard", "rolled_back", "retries", "requeues",
          "worker_crashes", "worker_stall_cycles", "cache_hits",
          "cache_misses", "cache_hit_ratio", "cache_invalidations",
-         "degraded_evals", "degraded_requests", "breaker_trips",
          "stale_reevals", "mean_latency_cycles", "max_latency_cycles",
          "mean_eval_cycles", "miss_ratio", "hard_misses",
          "best_effort_misses", "live_reconfigurations", "feasible_trials",
@@ -68,8 +66,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(opts.measure_cycles));
 
     stats::table t({"rate", "submitted", "shed", "expired", "commit",
-                    "reject", "retry/requeue", "cache hit%", "degraded",
-                    "breaker", "lat (cyc)", "hard miss", "conserved"});
+                    "reject", "retry/requeue", "cache hit%", "lat (cyc)",
+                    "hard miss", "conserved"});
     scenario s;
     s.trials = opts.trials;
     s.measure_cycles = opts.measure_cycles;
@@ -85,13 +83,8 @@ int main(int argc, char** argv) {
     for (double rate : k_rates) {
         s.requests = sim::reconfig_schedule_config{
             .warmup = 2'000, .events_per_kcycle = rate};
-        const bool export_obs = rate == k_rates[2];
-        s.collect_metrics = export_obs && !opts.metrics_path.empty();
-        s.collect_trace = export_obs && !opts.trace_path.empty();
-
-        const sweep_result r = run_sweep(ic_kind::bluescale, s);
-        if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (s.collect_trace) write_bench_trace(opts, r.trace);
+        const sweep_result r =
+            run_bench_sweep(opts, ic_kind::bluescale, s, rate == k_rates[2]);
         const auto count = [&r](const char* name) {
             return std::to_string(r.count(name));
         };
@@ -100,7 +93,6 @@ int main(int argc, char** argv) {
                    count("rejected"),
                    count("request_retries") + "/" + count("requeues"),
                    stats::table::pct(r.ratio("cache_hit_ratio"), 1),
-                   count("degraded_requests"), count("breaker_trips"),
                    stats::table::num(
                        r.series("request_latency_cycles").mean(), 0),
                    count("hard_misses"),
@@ -116,9 +108,8 @@ int main(int argc, char** argv) {
                       "rolled_back", "request_retries", "requeues",
                       "worker_crashes", "worker_stall_cycles",
                       "cache_hits", "cache_misses", "cache_hit_ratio",
-                      "cache_invalidations", "degraded_evals",
-                      "degraded_requests", "breaker_trips",
-                      "stale_reevals", "request_latency_cycles",
+                      "cache_invalidations", "stale_reevals",
+                      "request_latency_cycles",
                       "request_latency_cycles:max", "eval_cycles",
                       "miss_ratio", "hard_misses", "best_effort_misses",
                       "live_reconfigurations", "feasible_trials",

@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# Driver-level determinism gate: each sweep driver's --csv and --metrics
-# files and its stdout table must be byte-identical under --threads 1,
-# --threads 4 and --lockstep. The harness tests hold run_sweep to the
-# same contract; this check covers the row composition in bench/ on top
-# of it. Wired into ctest; runs standalone against a build tree whose
-# bench targets are built (a few seconds at these sizes):
+# Driver-level export gate for the ten scenario drivers:
+#   * each driver's --metrics file, its stdout table and (for the five
+#     drivers with a --csv table) its --csv file hold more than a header
+#     line and are byte-identical under --threads 1, --threads 4 and
+#     --lockstep;
+#   * stdout at --seed 3 differs from stdout at --seed 1, so a driver that
+#     accepts --seed but ignores it fails.
+# The harness tests hold run_sweep to the same contract; this check covers
+# the row composition and flag handling in bench/ on top of it. Wired into
+# ctest; runs standalone against a build tree whose bench targets are
+# built (a few seconds at these sizes):
 #
 #   $ scripts/check_bench_exports.sh [build-dir]
 set -euo pipefail
@@ -14,13 +19,25 @@ build_dir="${1:-build}"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
+drivers=(fig6_synthetic extended_baselines ablation_alpha
+         ablation_buffer_depth ablation_memctrl ablation_server_policy
+         resilience reconfig maintenance svc_storm)
+csv_drivers=" fig6_synthetic resilience reconfig maintenance svc_storm "
+
 status=0
-for driver in fig6_synthetic resilience reconfig maintenance svc_storm; do
+fail() {
+    echo "check_bench_exports: $*" >&2
+    status=1
+}
+
+for driver in "${drivers[@]}"; do
     exe="$build_dir/bench/$driver"
     if [[ ! -x "$exe" ]]; then
         echo "check_bench_exports: $exe not built" >&2
         exit 1
     fi
+    exts=(metrics stdout)
+    if [[ "$csv_drivers" == *" $driver "* ]]; then exts+=(csv); fi
     for mode in threads1 threads4 lockstep; do
         case "$mode" in
         threads1) flags=(--threads 1) ;;
@@ -32,27 +49,27 @@ for driver in fig6_synthetic resilience reconfig maintenance svc_storm; do
             --metrics "$out/$driver.$mode.metrics" \
             >"$out/$driver.$mode.stdout"
     done
-    if [[ ! -s "$out/$driver.threads1.csv" ]]; then
-        echo "check_bench_exports: $driver wrote no --csv rows" >&2
-        status=1
-    fi
-    for mode in threads4 lockstep; do
-        for ext in csv metrics stdout; do
-            ref="$out/$driver.threads1.$ext"
-            got="$out/$driver.$mode.$ext"
-            # A driver without a --metrics export writes neither file.
-            [[ -e "$ref" || -e "$got" ]] || continue
-            if ! cmp -s "$ref" "$got"; then
-                echo "check_bench_exports: $driver $ext differs" \
-                    "(--threads 1 vs $mode)" >&2
-                status=1
+    for ext in "${exts[@]}"; do
+        ref="$out/$driver.threads1.$ext"
+        if [[ ! -e "$ref" || $(wc -l <"$ref") -lt 2 ]]; then
+            fail "$driver wrote no $ext rows"
+        fi
+        for mode in threads4 lockstep; do
+            if ! cmp -s "$ref" "$out/$driver.$mode.$ext"; then
+                fail "$driver $ext differs (--threads 1 vs $mode)"
             fi
         done
     done
+    "$exe" --trials 2 --cycles 4000 --seed 1 --threads 1 \
+        >"$out/$driver.seed1.stdout"
+    if cmp -s "$out/$driver.threads1.stdout" "$out/$driver.seed1.stdout"; then
+        fail "$driver stdout is the same at --seed 1 and --seed 3"
+    fi
 done
 
 if [[ $status -eq 0 ]]; then
-    echo "check_bench_exports: csv, metrics and stdout identical across" \
-        "--threads 1, --threads 4 and --lockstep."
+    echo "check_bench_exports: ${#drivers[@]} drivers: metrics, csv and" \
+        "stdout identical across --threads 1, --threads 4 and --lockstep;" \
+        "stdout follows --seed."
 fi
 exit $status

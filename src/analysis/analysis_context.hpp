@@ -4,9 +4,11 @@
 // configuration (including the optional work counters), the interface
 // selection search bounds, the shared selection cache, and the
 // parallelism degree -- so `schedulability`, `interface_selection`,
-// `tree_analysis`, `core::reconfig_manager` and `svc::analysis_service`
-// all thread the SAME context instead of growing parallel default-arg
-// chains. A default-constructed context reproduces the paper-faithful
+// `tree_analysis` and `core::reconfig_manager` (and through it
+// `svc::analysis_service`) all thread the SAME context instead of growing
+// parallel default-arg chains. The cheap-first ladder plus the exact
+// test's abort budget is the stack's one precision-degradation
+// mechanism. A default-constructed context reproduces the paper-faithful
 // serial exact-test behaviour bit-for-bit.
 #pragma once
 
@@ -40,7 +42,9 @@ struct analysis_context {
     /// be shared across whole-tree selection, incremental reselection and
     /// the analysis service; nullptr disables caching. Selected
     /// interfaces and accumulated work counters are bit-identical with
-    /// the cache on or off (a hit replays the cached work counters).
+    /// the cache on or off (a hit replays the cached work counters, so it
+    /// saves host time but not modeled time -- the analysis service keeps
+    /// its own cache of whole evaluations for that).
     selection_cache* cache = nullptr;
     /// Worker threads for per-subtree parallel selection in
     /// select_tree_interfaces. Sibling subtrees below the root bandwidth

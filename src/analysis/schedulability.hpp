@@ -66,7 +66,7 @@ struct sched_test_config {
     /// Theorem 1 bound; an empty model (the default) reproduces the
     /// uncorrected test bit-for-bit.
     maintenance_model maintenance = {};
-    /// Degraded-precision mode (the analysis service's circuit breaker):
+    /// Sufficient-only mode (is_schedulable_sufficient sets it):
     /// is_schedulable() answers with the linear-time sufficient-test
     /// portfolio only and never enumerates dbf points. Sound -- a
     /// `schedulable` verdict is still a proof -- but incomplete: task sets
@@ -153,8 +153,8 @@ private:
                                           const resource_interface& iface,
                                           const sched_test_config& cfg = {});
 
-/// Linear-time sufficient-test portfolio (the cheap half of the
-/// cheap-first test ladder; also the circuit breaker's degraded mode):
+/// Linear-time sufficient-test portfolio (the cheap rung of the
+/// cheap-first test ladder, and the answer of sufficient_only):
 ///
 ///  1. necessary filters shared with the exact test: effective bandwidth
 ///     above utilization, and the first-job blackout check -- a failure

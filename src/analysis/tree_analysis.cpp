@@ -266,56 +266,4 @@ void apply_client_update(client_update&& update, tree_selection& selection,
     client_tasks = std::move(update.client_tasks);
 }
 
-namespace {
-
-inline constexpr std::uint64_t k_fnv_offset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t k_fnv_prime = 0x100000001b3ull;
-
-void fnv1a(std::uint64_t& h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= k_fnv_prime;
-    }
-}
-
-void fnv1a_real(std::uint64_t& h, double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    fnv1a(h, bits);
-}
-
-} // namespace
-
-std::uint64_t subtree_signature(const tree_selection& selection,
-                                const std::vector<task_set>& client_tasks,
-                                std::uint32_t client) {
-    std::uint64_t h = k_fnv_offset;
-    fnv1a(h, selection.shape.padded_clients);
-    fnv1a(h, selection.shape.leaf_level);
-    fnv1a(h, client);
-
-    double u_level = 0.0;
-    for (const auto& tasks : client_tasks) u_level += utilization(tasks);
-    fnv1a_real(h, u_level);
-
-    if (selection.levels.empty()) return h;
-    std::uint32_t order = selection.shape.leaf_se_of_client(client);
-    for (std::uint32_t l = selection.shape.leaf_level;; --l) {
-        fnv1a_real(h, level_bandwidth(selection.levels[l]));
-        for (const auto& port : selection.levels[l][order].ports) {
-            if (port) {
-                fnv1a(h, 1);
-                fnv1a(h, port->period);
-                fnv1a(h, port->budget);
-            } else {
-                fnv1a(h, 0);
-            }
-        }
-        if (l == 0) break;
-        order = quadtree_shape::parent_order(order);
-    }
-    return h;
-}
-
 } // namespace bluescale::analysis

@@ -44,7 +44,6 @@ void reconfig_manager::bind_observability(obs::registry& reg,
     rejected_ = reg.make_counter("reconfig/rejected");
     committed_count_ = reg.make_counter("reconfig/committed");
     rolled_back_ = reg.make_counter("reconfig/rolled_back");
-    queue_full_ = reg.make_counter("reconfig/rejected_queue_full");
     deadline_expired_ =
         reg.make_counter("reconfig/rejected_deadline_expired");
     stale_reevals_ = reg.make_counter("reconfig/stale_reevals");
@@ -85,25 +84,6 @@ std::uint64_t reconfig_manager::enqueue(queued_request req) {
     rec.deadline = req.deadline;
     records_.push_back(rec);
     submitted_.inc();
-
-    // Bounded-queue backpressure: a full queue sheds the request with a
-    // structured reason. The admission test never runs and the fabric is
-    // never touched, so the run stays bit-identical to one where the
-    // request never arrived (zero perturbation).
-    if (cfg_.max_queue != 0 && queue_.size() >= cfg_.max_queue) {
-        admission_record& r = records_[rec.id];
-        r.outcome = admission_outcome::rejected_queue_full;
-        r.detail = "request queue full (" + std::to_string(queue_.size()) +
-                   "/" + std::to_string(cfg_.max_queue) + ")";
-        r.decided_at = now_;
-        r.resolved_at = now_;
-        rejected_.inc();
-        queue_full_.inc();
-        admission_record copy = r;
-        resolve(copy, req.tasks);
-        return rec.id;
-    }
-
     req.id = rec.id;
     queue_.push_back(std::move(req));
     wake(); // a sleeping manager must run the admission test next tick
@@ -112,15 +92,12 @@ std::uint64_t reconfig_manager::enqueue(queued_request req) {
 
 admission_evaluation
 reconfig_manager::evaluate(std::uint32_t client,
-                           const analysis::task_set& tasks,
-                           bool sufficient_only) const {
+                           const analysis::task_set& tasks) const {
     assert(client < committed_.shape.padded_clients);
     admission_evaluation eval;
     eval.version = version_;
-    analysis::analysis_context sel = cfg_.selection;
-    sel.sched.sufficient_only = sufficient_only;
     eval.report = model_client_update(committed_, client_tasks_, client,
-                                      tasks, sel, cfg_.costs);
+                                      tasks, cfg_.selection, cfg_.costs);
     eval.feasible = eval.report.feasible;
     if (!eval.feasible) {
         const analysis::selection_failure& fail =
@@ -180,7 +157,7 @@ void reconfig_manager::start_admission(queued_request req, cycle_t now) {
     rec.decided_at = now;
 
     // Deadline cancellation: a request that waited past its deadline is
-    // dropped before any work runs (zero perturbation, like queue_full).
+    // dropped before any work runs (zero perturbation).
     if (now > rec.deadline) {
         rec.outcome = admission_outcome::rejected_deadline_expired;
         rec.detail = "deadline " + std::to_string(rec.deadline) +

@@ -58,9 +58,9 @@ enum class admission_outcome : std::uint8_t {
     /// Rejected: a request-path SE was degraded or stalled when the
     /// admission test ran (reconfig_config::reject_degraded_path).
     rejected_path_hazard,
-    /// Rejected at submission: the bounded request queue
-    /// (reconfig_config::max_queue) was full. The admission test never
-    /// ran, so the running system is untouched (zero perturbation).
+    /// Rejected at submission: the analysis service's bounded queue was
+    /// full (its shed outcome). The admission test never ran, so the
+    /// running system is untouched (zero perturbation).
     rejected_queue_full,
     /// Rejected: the request's deadline passed before the admission test
     /// could run. The test never ran (zero perturbation).
@@ -85,10 +85,6 @@ struct reconfig_config {
     /// a request-path SE is already degraded or stalled (otherwise the
     /// request stages and takes its chances with a mid-flight rollback).
     bool reject_degraded_path = true;
-    /// Bound on the FIFO request queue (0 = unbounded, the historical
-    /// behavior). A submit() against a full queue is rejected
-    /// queue_full without running the admission test.
-    std::size_t max_queue = 0;
 };
 
 /// Full audit record of one request, kept for every submission.
@@ -125,7 +121,6 @@ struct reconfig_manager_stats {
     std::uint64_t rejected = 0;
     std::uint64_t committed = 0;
     std::uint64_t rolled_back = 0;
-    std::uint64_t rejected_queue_full = 0;
     std::uint64_t rejected_deadline_expired = 0;
     /// apply_evaluated() submissions whose evaluation was stale (the
     /// committed version moved) and had to be re-run fresh.
@@ -167,10 +162,10 @@ public:
     /// admission test runs at the manager's next tick. `deadline` is the
     /// absolute cycle by which the test must start (k_cycle_never =
     /// none); a request still queued past it is rejected
-    /// deadline_expired. With cfg.max_queue set, a submit against a full
-    /// queue is rejected queue_full immediately. Both rejection paths
-    /// never run the test and never touch the fabric. Thread-safety: the
-    /// manager is trial-local, like every other component.
+    /// deadline_expired without running the test or touching the fabric.
+    /// The queue is unbounded: backpressure is the analysis service's
+    /// bounded queue. Thread-safety: the manager is trial-local, like
+    /// every other component.
     std::uint64_t submit(std::uint32_t client, analysis::task_set tasks,
                          cycle_t deadline = k_cycle_never);
 
@@ -179,19 +174,15 @@ public:
     /// staging, or touching any manager state. The analysis service's
     /// workers call this concurrently (it only reads committed state) and
     /// feed feasible results back through apply_evaluated().
-    /// `sufficient_only` swaps the pseudo-polynomial exact test for the
-    /// cheap sufficient portfolio (degraded precision: sound, may reject
-    /// feasible requests) -- the service's circuit breaker trips to it.
     [[nodiscard]] admission_evaluation
-    evaluate(std::uint32_t client, const analysis::task_set& tasks,
-             bool sufficient_only = false) const;
+    evaluate(std::uint32_t client, const analysis::task_set& tasks) const;
 
     /// Queues a request carrying a precomputed evaluation. While the
     /// committed version still matches eval.version at admission time the
     /// expensive test is skipped and the evaluated selection stages
     /// directly; a stale evaluation (any commit in between) is re-run
     /// fresh -- a half-applied commit is impossible either way. The
-    /// queue bound, deadline, and hazard gates all still apply.
+    /// deadline and hazard gates still apply.
     std::uint64_t apply_evaluated(std::uint32_t client,
                                   analysis::task_set tasks,
                                   admission_evaluation eval,
@@ -237,11 +228,10 @@ public:
         return client_tasks_;
     }
     [[nodiscard]] reconfig_manager_stats stats() const {
-        return {submitted_.value(),        admitted_.value(),
-                rejected_.value(),         committed_count_.value(),
-                rolled_back_.value(),      queue_full_.value(),
-                deadline_expired_.value(), stale_reevals_.value(),
-                reconfig_latency_.values()};
+        return {submitted_.value(),       admitted_.value(),
+                rejected_.value(),        committed_count_.value(),
+                rolled_back_.value(),     deadline_expired_.value(),
+                stale_reevals_.value(),   reconfig_latency_.values()};
     }
 
     /// Re-homes the admission counters into `reg` under "reconfig/..."
@@ -303,7 +293,6 @@ private:
     obs::counter rejected_;
     obs::counter committed_count_;
     obs::counter rolled_back_;
-    obs::counter queue_full_;
     obs::counter deadline_expired_;
     obs::counter stale_reevals_;
     obs::sample reconfig_latency_;

@@ -178,4 +178,14 @@ void write_bench_trace(const bench_options& opts,
     }
 }
 
+sweep_result run_bench_sweep(const bench_options& opts, ic_kind kind,
+                             scenario s, bool exported) {
+    s.collect_metrics = exported && !opts.metrics_path.empty();
+    s.collect_trace = exported && !opts.trace_path.empty();
+    sweep_result r = run_sweep(kind, s);
+    if (s.collect_metrics) write_bench_metrics(opts, r.metrics);
+    if (s.collect_trace) write_bench_trace(opts, r.trace);
+    return r;
+}
+
 } // namespace bluescale::harness

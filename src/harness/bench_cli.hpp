@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/scenario.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/types.hpp"
@@ -70,5 +71,13 @@ void write_bench_metrics(const bench_options& opts, const obs::snapshot& snap);
 /// the build has BLUESCALE_TRACE=OFF the export is valid but empty.
 void write_bench_trace(const bench_options& opts,
                        const obs::trace_export& trace);
+
+/// Runs one sweep of a driver. With `exported` set this is the driver's
+/// one --metrics / --trace sweep: the merged metrics snapshot and trial
+/// 0's event trace are collected and written (each only when its flag was
+/// given). Collecting never changes the sweep's totals.
+[[nodiscard]] sweep_result run_bench_sweep(const bench_options& opts,
+                                           ic_kind kind, scenario s,
+                                           bool exported);
 
 } // namespace bluescale::harness

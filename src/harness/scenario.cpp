@@ -242,21 +242,15 @@ void record_service(obs::registry& out, const svc::analysis_service& service,
     out.make_counter("cache_hits").inc(st.cache_hits);
     out.make_counter("cache_misses").inc(st.cache_misses);
     out.make_counter("cache_invalidations").inc(st.cache_invalidations);
-    out.make_counter("degraded_evals").inc(st.degraded_evals);
-    out.make_counter("breaker_trips").inc(st.breaker_trips);
     out.make_counter("drained_trials").inc(drained ? 1 : 0);
 
     bool conserved = st.submitted == st.shed + st.expired + st.rejected +
                                          st.committed &&
                      st.submitted == service.records().size();
-    auto degraded = out.make_counter("degraded_requests");
     auto rolled_back = out.make_counter("rolled_back");
     auto latency = out.make_sample("request_latency_cycles");
     for (const auto& rec : service.records()) {
         if (rec.outcome == svc::request_outcome::pending) conserved = false;
-        if (rec.degraded && rec.outcome != svc::request_outcome::shed) {
-            degraded.inc();
-        }
         if (rec.outcome == svc::request_outcome::rejected) {
             record_reject(out, rec.reject_reason);
             if (rec.reject_reason == core::admission_outcome::rolled_back) {

@@ -46,8 +46,7 @@
 //     applied_unchecked; service only: accepted, shed, expired,
 //     rejected, request_retries, requeues, worker_crashes,
 //     worker_stall_cycles, cache_hits, cache_misses,
-//     cache_invalidations, degraded_evals, degraded_requests,
-//     breaker_trips, drained_trials, conserved_trials
+//     cache_invalidations, drained_trials, conserved_trials
 //   derived after the merge (reals):
 //     admission_ratio (admitted / submitted), cache_hit_ratio
 //

@@ -27,7 +27,6 @@ const char* trace_event_kind_name(trace_event_kind k) {
     case trace_event_kind::svc_retry: return "svc_retry";
     case trace_event_kind::svc_requeue: return "svc_requeue";
     case trace_event_kind::svc_complete: return "svc_complete";
-    case trace_event_kind::svc_breaker: return "svc_breaker";
     }
     return "?";
 }

@@ -45,7 +45,6 @@ enum class trace_event_kind : std::uint8_t {
     svc_retry,         ///< transient rejection, retry scheduled; a=req, b=attempt
     svc_requeue,       ///< worker crash, in-flight request re-queued; a=req, b=worker
     svc_complete,      ///< request reached a terminal outcome; a=req, b=outcome
-    svc_breaker,       ///< circuit breaker state change; a=breaker_state
 };
 
 [[nodiscard]] const char* trace_event_kind_name(trace_event_kind k);

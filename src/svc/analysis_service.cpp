@@ -5,9 +5,17 @@
 #include <utility>
 
 #include "sim/rng.hpp"
-#include "svc/profile_clock.hpp"
 
 namespace bluescale::svc {
+
+namespace {
+
+/// Modeled worker busy time of a result-cache hit.
+constexpr std::uint64_t k_cache_hit_cycles = 2;
+/// Result-cache capacity; the oldest entry is evicted first.
+constexpr std::size_t k_cache_capacity = 64;
+
+} // namespace
 
 const char* request_outcome_name(request_outcome o) {
     switch (o) {
@@ -20,48 +28,10 @@ const char* request_outcome_name(request_outcome o) {
     return "?";
 }
 
-const char* breaker_state_name(breaker_state s) {
-    switch (s) {
-    case breaker_state::closed: return "closed";
-    case breaker_state::open: return "open";
-    case breaker_state::half_open: return "half_open";
-    }
-    return "?";
-}
-
-namespace {
-
-inline constexpr std::uint64_t k_fnv_offset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t k_fnv_prime = 0x100000001b3ull;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        h = (h ^ (v & 0xffu)) * k_fnv_prime;
-        v >>= 8;
-    }
-    return h;
-}
-
-/// Order-sensitive hash of the requested task set.
-std::uint64_t task_set_hash(const analysis::task_set& tasks) {
-    std::uint64_t h = fnv1a(k_fnv_offset, tasks.size());
-    for (const auto& t : tasks) {
-        h = fnv1a(h, t.period);
-        h = fnv1a(h, t.wcet);
-    }
-    return h;
-}
-
-} // namespace
-
 analysis_service::analysis_service(core::reconfig_manager& mgr,
                                    service_config cfg)
     : component("analysis_service"), mgr_(mgr), cfg_(cfg),
       own_(std::make_unique<obs::registry>()) {
-    // Virtual-time and wall-clock deadlines are never mixed in one
-    // configuration: a deterministic run uses cycles only, a profile run
-    // wall nanoseconds only.
-    assert(!(cfg_.wall_deadline_ns != 0 && cfg_.default_deadline != 0));
     resume_depth_ =
         cfg_.resume_depth != 0 ? cfg_.resume_depth : cfg_.max_queue / 2;
     workers_.resize(std::max<std::uint32_t>(1, cfg_.workers));
@@ -82,8 +52,6 @@ void analysis_service::bind_observability(obs::registry& reg,
     cache_hits_ = reg.make_counter("svc/cache_hits");
     cache_misses_ = reg.make_counter("svc/cache_misses");
     cache_invalidations_ = reg.make_counter("svc/cache_invalidations");
-    degraded_evals_ = reg.make_counter("svc/degraded_evals");
-    breaker_trips_ = reg.make_counter("svc/breaker_trips");
     worker_crashes_ = reg.make_counter("svc/worker_crashes");
     worker_stall_cycles_ = reg.make_counter("svc/worker_stall_cycles");
     eval_cycles_ = reg.make_sample("svc/eval_cycles");
@@ -104,8 +72,6 @@ service_stats analysis_service::stats() const {
     s.cache_hits = cache_hits_.value();
     s.cache_misses = cache_misses_.value();
     s.cache_invalidations = cache_invalidations_.value();
-    s.degraded_evals = degraded_evals_.value();
-    s.breaker_trips = breaker_trips_.value();
     s.worker_crashes = worker_crashes_.value();
     s.worker_stall_cycles = worker_stall_cycles_.value();
     return s;
@@ -134,16 +100,9 @@ std::uint64_t analysis_service::submit(std::uint32_t client,
     rec.submitted_at = now_;
     request_state st;
     st.tasks = std::move(tasks);
-    if (cfg_.wall_deadline_ns != 0) {
-        // Profile mode: wall-clock deadline only; virtual deadlines are
-        // rejected at the API boundary (never mixed).
-        assert(deadline == k_cycle_never);
-        st.wall_deadline_ns = profile_now_ns() + cfg_.wall_deadline_ns;
-    } else if (deadline == k_cycle_never && cfg_.default_deadline != 0) {
-        st.deadline = now_ + cfg_.default_deadline;
-    } else {
-        st.deadline = deadline;
-    }
+    st.deadline = deadline == k_cycle_never && cfg_.default_deadline != 0
+                      ? now_ + cfg_.default_deadline
+                      : deadline;
     records_.push_back(std::move(rec));
     states_.push_back(std::move(st));
     submitted_.inc();
@@ -166,14 +125,6 @@ std::uint64_t analysis_service::submit(std::uint32_t client,
     queue_.push_back(id);
     wake();
     return id;
-}
-
-bool analysis_service::expired_now(const request_state& st,
-                                   cycle_t now) const {
-    if (st.wall_deadline_ns != 0) {
-        return profile_now_ns() > st.wall_deadline_ns;
-    }
-    return st.deadline != k_cycle_never && now > st.deadline;
 }
 
 void analysis_service::finish(std::uint64_t id, cycle_t now,
@@ -204,7 +155,7 @@ void analysis_service::sweep_expired_queue(cycle_t now) {
     // work runs on them, freeing their slots for live work.
     for (std::size_t i = 0; i < queue_.size();) {
         const std::uint64_t id = queue_[i];
-        if (expired_now(states_[id], now)) {
+        if (now > states_[id].deadline) {
             finish(id, now, request_outcome::expired,
                    core::admission_outcome::rejected_deadline_expired,
                    "deadline expired in the service queue");
@@ -240,7 +191,7 @@ void analysis_service::service_retries(cycle_t now) {
             continue;
         }
         st.retry_at = k_cycle_never;
-        if (expired_now(st, now)) {
+        if (now > st.deadline) {
             finish(id, now, request_outcome::expired,
                    core::admission_outcome::rejected_deadline_expired,
                    "deadline expired during retry backoff");
@@ -276,7 +227,7 @@ void analysis_service::step_workers(cycle_t now) {
         }
         w.crashed = crash_now;
         if (!w.busy) continue;
-        if (expired_now(states_[w.req], now)) {
+        if (now > states_[w.req].deadline) {
             // Deadline cancellation extends to in-flight work: an exact
             // evaluation whose modeled cost outruns the request's deadline
             // is abandoned, freeing the worker (the answer would arrive
@@ -307,10 +258,8 @@ void analysis_service::step_workers(cycle_t now) {
 void analysis_service::complete(std::uint64_t id, cycle_t now) {
     request_state& st = states_[id];
     if (!st.eval.feasible) {
-        std::string detail = st.eval.detail;
-        if (st.eval_degraded) detail += " (degraded precision)";
         finish(id, now, request_outcome::rejected, st.eval.reject_reason,
-               std::move(detail));
+               st.eval.detail);
         return;
     }
     // Feasible: hand the precomputed evaluation to the manager's
@@ -366,58 +315,11 @@ void analysis_service::handle_manager_outcome(
         return;
     }
     default:
-        // rejected_infeasible / rejected_overutilized / rolled_back /
-        // rejected_queue_full (manager-side bound, if configured).
+        // rejected_infeasible / rejected_overutilized / rolled_back.
         finish(id, now, request_outcome::rejected, mrec.outcome,
                mrec.detail);
         return;
     }
-}
-
-void analysis_service::set_breaker(breaker_state s, cycle_t /*now*/) {
-    breaker_ = s;
-    trace_.emit(obs::trace_event_kind::svc_breaker,
-                static_cast<std::uint64_t>(s));
-}
-
-void analysis_service::note_eval_cost(std::uint64_t work, bool degraded,
-                                      cycle_t now) {
-    if (degraded) {
-        degraded_evals_.inc();
-        return;
-    }
-    const bool slow = work > cfg_.breaker_slow_cycles;
-    if (breaker_ == breaker_state::closed) {
-        consecutive_slow_ = slow ? consecutive_slow_ + 1 : 0;
-        if (slow && consecutive_slow_ >= cfg_.breaker_trip_after) {
-            breaker_trips_.inc();
-            breaker_reopen_at_ = now + cfg_.breaker_cooldown;
-            consecutive_slow_ = 0;
-            set_breaker(breaker_state::open, now);
-        }
-    } else if (breaker_ == breaker_state::half_open) {
-        if (slow) {
-            // Probe failed: re-open and restart the cooldown.
-            breaker_trips_.inc();
-            breaker_reopen_at_ = now + cfg_.breaker_cooldown;
-            probe_successes_ = 0;
-            set_breaker(breaker_state::open, now);
-        } else if (++probe_successes_ >= cfg_.breaker_close_after) {
-            probe_successes_ = 0;
-            consecutive_slow_ = 0;
-            set_breaker(breaker_state::closed, now);
-        }
-    }
-}
-
-std::uint64_t
-analysis_service::cache_key(std::uint32_t client,
-                            const analysis::task_set& tasks,
-                            bool degraded) const {
-    std::uint64_t h = analysis::subtree_signature(
-        mgr_.committed(), mgr_.client_tasks(), client);
-    h = fnv1a(h, task_set_hash(tasks));
-    return fnv1a(h, degraded ? 1 : 0);
 }
 
 void analysis_service::run_evaluation(std::uint64_t id, worker& w,
@@ -425,41 +327,28 @@ void analysis_service::run_evaluation(std::uint64_t id, worker& w,
     request_state& st = states_[id];
     request_record& rec = records_[id];
 
-    // Breaker gate: open = degraded precision; after the cooldown the
-    // next dispatch half-opens and probes with full precision.
-    if (breaker_ == breaker_state::open && now >= breaker_reopen_at_) {
-        set_breaker(breaker_state::half_open, now);
-    }
-    const bool degraded = breaker_ == breaker_state::open;
-
+    // The cache holds evaluations against the current committed state
+    // only (tick() clears it on every commit), so (client, task set)
+    // determines the answer.
     std::uint64_t busy_cycles = 0;
-    const std::uint64_t key = cache_key(rec.client, st.tasks, degraded);
-    const auto hit = cfg_.cache_capacity != 0 ? cache_.find(key)
-                                              : cache_.end();
+    const auto hit = std::find_if(
+        cache_.begin(), cache_.end(), [&](const cache_entry& e) {
+            return e.client == rec.client && e.tasks == st.tasks;
+        });
     if (hit != cache_.end()) {
-        st.eval = hit->second.eval;
-        st.eval_degraded = hit->second.degraded;
+        st.eval = hit->eval;
         rec.cache_hit = true;
         cache_hits_.inc();
-        busy_cycles = cfg_.cache_hit_cycles;
+        busy_cycles = k_cache_hit_cycles;
     } else {
-        st.eval = mgr_.evaluate(rec.client, st.tasks, degraded);
-        st.eval_degraded = degraded;
+        st.eval = mgr_.evaluate(rec.client, st.tasks);
         cache_misses_.inc();
-        note_eval_cost(st.eval.report.total_cycles, degraded, now);
         busy_cycles = std::max<std::uint64_t>(cfg_.min_eval_cycles,
                                               st.eval.report.total_cycles);
-        if (cfg_.cache_capacity != 0) {
-            cache_.emplace(key, cache_entry{st.eval, degraded});
-            cache_fifo_.push_back(key);
-            if (cache_.size() > cfg_.cache_capacity) {
-                cache_.erase(cache_fifo_.front());
-                cache_fifo_.pop_front();
-            }
-        }
+        if (cache_.size() == k_cache_capacity) cache_.pop_front();
+        cache_.push_back({rec.client, st.tasks, st.eval});
     }
     st.has_eval = true;
-    rec.degraded = rec.degraded || st.eval_degraded;
     eval_cycles_.add(static_cast<double>(busy_cycles));
 
     w.busy = true;
@@ -473,7 +362,7 @@ void analysis_service::dispatch(cycle_t now) {
         while (!queue_.empty()) {
             const std::uint64_t id = queue_.front();
             queue_.pop_front();
-            if (expired_now(states_[id], now)) {
+            if (now > states_[id].deadline) {
                 finish(id, now, request_outcome::expired,
                        core::admission_outcome::rejected_deadline_expired,
                        "deadline expired at dispatch");
@@ -493,7 +382,6 @@ void analysis_service::tick(cycle_t now) {
         cache_version_ = mgr_.committed_version();
         if (!cache_.empty()) {
             cache_.clear();
-            cache_fifo_.clear();
             cache_invalidations_.inc();
         }
     }

@@ -15,23 +15,22 @@
 //     drains to a low watermark, so an overload burst cannot flap the
 //     admission path open and closed every cycle.
 //   * Per-request deadlines with cancellation: an expired request is
-//     dropped before any work runs. Deterministic runs use virtual-time
-//     deadlines; profile runs may use wall-clock deadlines through the
-//     profile_now_ns() boundary -- the two clocks are never mixed in one
-//     configuration (asserted).
+//     dropped before any work runs, and an in-flight evaluation is
+//     abandoned once its request's deadline passes. Deadlines are virtual
+//     cycles; the service reads no host clock.
 //   * Seeded retry with exponential backoff + jitter for transient
 //     path-hazard rejections: the jitter stream is derived per (seed,
 //     request, attempt) via substream(), so storm runs stay bit-identical
 //     for any trial-sweep thread count.
-//   * A circuit breaker around the pseudo-polynomial exact admission test:
-//     consecutive over-budget evaluations trip it open and evaluations
-//     fall back to the cheap sufficient-test portfolio (degraded
-//     precision -- sound, may reject feasible requests; reported in the
-//     response record and the obs metrics). After a cooldown the breaker
-//     half-opens and probes with full precision before closing.
-//   * A result cache keyed on the (Pi, Theta) subtree signature
-//     (analysis::subtree_signature) plus the request's task set, cleared
-//     whenever the manager commits a reconfiguration.
+//   * A result cache of whole admission evaluations keyed on (client,
+//     task set), compared in full, holding at most 64 entries (oldest
+//     evicted first) and cleared whenever the manager commits a
+//     reconfiguration. A hit costs 2 cycles of modeled worker time
+//     against the tens of thousands an evaluation models, which is
+//     why it stays: with it off, commits at 8 req/kcycle in the default
+//     svc_storm sweep fall from 149 to 125 at seed 1 (DESIGN.md Sec. 15).
+//     analysis::selection_cache cannot stand in for it -- its hits replay
+//     the work counters, so they cost the same modeled time.
 //   * Seed-driven worker faults (sim::fault_campaign worker_crash /
 //     worker_stall slices): a crash re-queues the in-flight request
 //     exactly once at the queue front; a stall defers completion cycle
@@ -45,7 +44,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,15 +67,6 @@ enum class request_outcome : std::uint8_t {
 
 [[nodiscard]] const char* request_outcome_name(request_outcome o);
 
-/// Circuit-breaker state around the full-precision admission test.
-enum class breaker_state : std::uint8_t {
-    closed,    ///< full precision
-    open,      ///< degraded precision (sufficient-test portfolio)
-    half_open, ///< probing full precision after the cooldown
-};
-
-[[nodiscard]] const char* breaker_state_name(breaker_state s);
-
 struct service_config {
     /// Logical worker slots draining the queue (virtual-time concurrency;
     /// the trial-sweep --threads knob is orthogonal and never changes
@@ -91,9 +80,6 @@ struct service_config {
     /// Default per-request deadline, relative cycles from submission
     /// (0 = none). Virtual-time clock; deterministic.
     cycle_t default_deadline = 0;
-    /// Profile-mode wall-clock deadline in nanoseconds (0 = off). Mutually
-    /// exclusive with virtual deadlines -- the clocks are never mixed.
-    std::uint64_t wall_deadline_ns = 0;
     /// Retry budget for transient path-hazard rejections.
     std::uint32_t max_retries = 3;
     /// Exponential backoff: delay = min(cap, base << attempt) + jitter,
@@ -101,19 +87,9 @@ struct service_config {
     cycle_t backoff_base = 64;
     cycle_t backoff_cap = 4096;
     std::uint64_t seed = 1;
-    /// Breaker: trip open after this many consecutive evaluations whose
-    /// modeled cost exceeds breaker_slow_cycles; half-open after the
-    /// cooldown; close again after this many fast full-precision probes.
-    std::uint32_t breaker_trip_after = 3;
-    std::uint64_t breaker_slow_cycles = 50'000;
-    cycle_t breaker_cooldown = 8192;
-    std::uint32_t breaker_close_after = 2;
     /// Modeled worker busy time: max(min_eval_cycles, evaluation's
-    /// parameter-path cycles); a cache hit costs cache_hit_cycles.
+    /// parameter-path cycles); a result-cache hit costs 2 cycles.
     std::uint64_t min_eval_cycles = 8;
-    std::uint64_t cache_hit_cycles = 2;
-    /// Result-cache capacity, FIFO eviction (0 disables the cache).
-    std::size_t cache_capacity = 64;
 };
 
 /// Full audit record of one service request.
@@ -124,8 +100,6 @@ struct request_record {
     /// Structured reason when outcome == rejected (or expired via the
     /// manager's deadline gate).
     core::admission_outcome reject_reason = core::admission_outcome::pending;
-    /// Evaluated under the degraded (sufficient-only) portfolio.
-    bool degraded = false;
     bool cache_hit = false;
     std::uint32_t retries = 0;
     /// Crash-driven exactly-once re-queues this request survived.
@@ -148,8 +122,6 @@ struct service_stats {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_invalidations = 0;
-    std::uint64_t degraded_evals = 0;
-    std::uint64_t breaker_trips = 0;
     std::uint64_t worker_crashes = 0;
     std::uint64_t worker_stall_cycles = 0;
 };
@@ -187,7 +159,6 @@ public:
     /// outstanding with the manager -- the storm drivers drain on this.
     [[nodiscard]] bool idle() const;
 
-    [[nodiscard]] breaker_state breaker() const { return breaker_; }
     [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
     [[nodiscard]] bool shedding() const { return shedding_; }
 
@@ -207,11 +178,9 @@ private:
     /// Per-request working state, parallel to records_.
     struct request_state {
         analysis::task_set tasks;
-        cycle_t deadline = k_cycle_never;   ///< absolute virtual cycle
-        std::uint64_t wall_deadline_ns = 0; ///< profile mode (0 = none)
+        cycle_t deadline = k_cycle_never; ///< absolute virtual cycle
         core::admission_evaluation eval;
         bool has_eval = false;
-        bool eval_degraded = false;
         std::uint64_t mgr_id = 0;
         cycle_t retry_at = k_cycle_never;
     };
@@ -226,12 +195,11 @@ private:
     };
 
     struct cache_entry {
+        std::uint32_t client = 0;
+        analysis::task_set tasks;
         core::admission_evaluation eval;
-        bool degraded = false;
     };
 
-    [[nodiscard]] bool expired_now(const request_state& st,
-                                   cycle_t now) const;
     void finish(std::uint64_t id, cycle_t now, request_outcome outcome,
                 core::admission_outcome reason, std::string detail);
     void sweep_expired_queue(cycle_t now);
@@ -244,13 +212,8 @@ private:
                                 cycle_t now);
     void dispatch(cycle_t now);
     void run_evaluation(std::uint64_t id, worker& w, cycle_t now);
-    void set_breaker(breaker_state s, cycle_t now);
-    void note_eval_cost(std::uint64_t work, bool degraded, cycle_t now);
     [[nodiscard]] cycle_t backoff_delay(std::uint64_t id,
                                         std::uint32_t attempt) const;
-    [[nodiscard]] std::uint64_t cache_key(std::uint32_t client,
-                                          const analysis::task_set& tasks,
-                                          bool degraded) const;
 
     core::reconfig_manager& mgr_;
     service_config cfg_;
@@ -263,14 +226,8 @@ private:
     std::vector<std::uint64_t> outstanding_; ///< awaiting manager outcome
     std::vector<worker> workers_;
 
-    breaker_state breaker_ = breaker_state::closed;
-    std::uint32_t consecutive_slow_ = 0;
-    std::uint32_t probe_successes_ = 0;
-    cycle_t breaker_reopen_at_ = 0;
-
     std::uint64_t cache_version_ = 0; ///< manager version the cache is for
-    std::map<std::uint64_t, cache_entry> cache_;
-    std::deque<std::uint64_t> cache_fifo_; ///< insertion order (eviction)
+    std::deque<cache_entry> cache_;   ///< insertion order (FIFO eviction)
 
     std::vector<request_record> records_;
     std::vector<request_state> states_;
@@ -289,8 +246,6 @@ private:
     obs::counter cache_hits_;
     obs::counter cache_misses_;
     obs::counter cache_invalidations_;
-    obs::counter degraded_evals_;
-    obs::counter breaker_trips_;
     obs::counter worker_crashes_;
     obs::counter worker_stall_cycles_;
     obs::sample eval_cycles_;

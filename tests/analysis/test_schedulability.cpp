@@ -215,8 +215,8 @@ INSTANTIATE_TEST_SUITE_P(seeds, schedulability_random_oracle,
                          ::testing::Range(0, 10));
 
 TEST(sufficient_portfolio, schedulable_verdicts_are_a_subset_of_exact) {
-    // The degraded-precision mode (the analysis service's circuit-breaker
-    // fallback) must stay SOUND: whenever the linear-time portfolio
+    // The sufficient-only mode (the ladder's cheap rung) must stay
+    // SOUND: whenever the linear-time portfolio
     // proves schedulability, the pseudo-polynomial exact test agrees.
     // The converse need not hold -- `aborted` (undecided) is expected.
     rng rnd(424);
@@ -256,7 +256,7 @@ TEST(sufficient_portfolio, schedulable_verdicts_are_a_subset_of_exact) {
 
 TEST(sufficient_portfolio, config_flag_delegates_to_the_portfolio) {
     // sched_test_config::sufficient_only answers through the portfolio
-    // bit-for-bit -- the service's breaker swaps tests, not semantics.
+    // bit-for-bit -- the flag swaps tests, not semantics.
     rng rnd(99);
     sched_test_config degraded;
     degraded.sufficient_only = true;

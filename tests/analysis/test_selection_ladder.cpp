@@ -130,8 +130,8 @@ TEST(ladder_stats, cheap_decisions_and_fallbacks_are_counted) {
 }
 
 TEST(ladder_stats, sufficient_only_wins_over_cheap_first) {
-    // sufficient_only is the circuit breaker's degraded mode; cheap_first
-    // must not resurrect the exact test behind it.
+    // sufficient_only answers from the portfolio alone; cheap_first must
+    // not resurrect the exact test behind it.
     sched_test_stats a_stats, b_stats;
     sched_test_config a;
     a.sufficient_only = true;

@@ -1,6 +1,6 @@
-// Fixture: the /svc/ sanction covers profile_* function bodies ONLY --
-// a wall-clock read in any other function is still a nondet-source
-// violation, even under a /svc/ path.
+// Fixture: a wall-clock read under a /svc/ path is a nondet-source
+// violation like anywhere else -- the analysis service runs on virtual
+// cycles only.
 #include <chrono>
 #include <cstdint>
 

@@ -113,16 +113,6 @@ TEST(detlint_fixtures, reserve_then_index_tick_path_is_clean) {
     EXPECT_TRUE(r.suppressed.empty());
 }
 
-TEST(detlint_fixtures, svc_profile_bodies_may_read_the_wall_clock) {
-    // The analysis service's profile-mode deadline boundary: under a
-    // /svc/ path, wall-clock reads inside profile_* function bodies are
-    // sanctioned without any suppression comment.
-    const scan_result r = scan_fixture("svc/profile_ok.cpp");
-    EXPECT_TRUE(r.findings.empty())
-        << r.findings.front().rule << ": " << r.findings.front().message;
-    EXPECT_TRUE(r.suppressed.empty());
-}
-
 TEST(detlint_fixtures, whole_directory_scan_is_deterministic) {
     const auto files =
         detlint::collect_files({std::string(DETLINT_FIXTURE_DIR)});
@@ -249,9 +239,10 @@ TEST(detlint_engine, sim_kernel_owns_the_wake_protocol) {
     EXPECT_TRUE(r.findings.empty()) << r.findings.front().message;
 }
 
-TEST(detlint_engine, profile_sanction_is_svc_scoped_and_body_scoped) {
-    // The same profile_* body is sanctioned under src/svc/ and flagged
-    // anywhere else; banned libc calls get the same treatment as the
+TEST(detlint_engine, profile_clock_read_is_flagged_in_every_directory) {
+    // No directory or function name exempts a host-clock read: a
+    // profile_* body is flagged under src/svc/ exactly as under
+    // src/core/, and banned libc calls get the same treatment as the
     // chrono clock types.
     const std::string body =
         "#include <ctime>\n"
@@ -260,15 +251,14 @@ TEST(detlint_engine, profile_sanction_is_svc_scoped_and_body_scoped) {
         "    clock_gettime(0, &ts);\n"
         "    return static_cast<unsigned long>(ts.tv_nsec);\n"
         "}\n";
-    const scan_result exempt = detlint::scan_sources(
-        {{"src/svc/profile_clock.cpp", body}}, scan_options{});
-    EXPECT_TRUE(exempt.findings.empty())
-        << exempt.findings.front().message;
-    const scan_result flagged = detlint::scan_sources(
-        {{"src/core/profile_clock.cpp", body}}, scan_options{});
-    ASSERT_EQ(flagged.findings.size(), 1u);
-    EXPECT_EQ(flagged.findings.front().rule, "nondet-source");
-    EXPECT_EQ(flagged.findings.front().line, 4u);
+    for (const char* path :
+         {"src/svc/profile_clock.cpp", "src/core/profile_clock.cpp"}) {
+        const scan_result flagged =
+            detlint::scan_sources({{path, body}}, scan_options{});
+        ASSERT_EQ(flagged.findings.size(), 1u) << path;
+        EXPECT_EQ(flagged.findings.front().rule, "nondet-source");
+        EXPECT_EQ(flagged.findings.front().line, 4u);
+    }
 }
 
 TEST(detlint_engine, rule_filter_restricts_the_run) {

@@ -1,16 +1,16 @@
 // Hardened analysis-as-a-service: bounded-queue shedding with
 // hysteresis, per-request deadline cancellation (queued AND in-flight),
-// deterministic retry/backoff for transient path hazards, the circuit
-// breaker's degraded-precision fallback, the (Pi, Theta)-signature
-// result cache with invalidate-on-commit, and exactly-once re-queue
-// under scripted worker crash/stall faults. Every test closes with the
-// conservation identity: submitted == shed + expired + rejected +
-// committed once the service is idle.
+// deterministic retry/backoff for transient path hazards, the
+// (client, task set) result cache with invalidate-on-commit, and
+// exactly-once re-queue under scripted worker crash/stall faults. Every
+// test closes with the conservation identity: submitted == shed +
+// expired + rejected + committed once the service is idle.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/bluescale_ic.hpp"
@@ -85,7 +85,6 @@ TEST(analysis_service, feasible_request_commits_end_to_end) {
     r.run_until_done(id);
     const auto& rec = r.service->record(id);
     EXPECT_EQ(rec.outcome, request_outcome::committed);
-    EXPECT_FALSE(rec.degraded);
     EXPECT_GT(rec.finished_at, rec.submitted_at);
     // The manager's committed state carries the request's task set.
     ASSERT_EQ(r.mgr->client_tasks()[6].size(), 1u);
@@ -263,6 +262,26 @@ TEST(analysis_service, result_cache_hits_and_invalidates_on_commit) {
     EXPECT_TRUE(r.service->record(b).cache_hit);
     EXPECT_EQ(r.service->stats().cache_hits, 1u);
 
+    // The key is the (client, task set) pair, compared in full: the same
+    // task set on another client misses, and so does another task set on
+    // the same client; a repeat of either then hits.
+    const analysis::task_set heavier{{40, 39}, {400, 1}};
+    for (const auto& [client, tasks] :
+         {std::pair{4u, heavy}, std::pair{3u, heavier}}) {
+        const auto miss = r.service->submit(client, tasks, r.sim.now());
+        r.run_until_done(miss);
+        EXPECT_EQ(r.service->record(miss).outcome,
+                  request_outcome::rejected);
+        EXPECT_FALSE(r.service->record(miss).cache_hit)
+            << "client " << client;
+        const auto repeat = r.service->submit(client, tasks, r.sim.now());
+        r.run_until_done(repeat);
+        EXPECT_TRUE(r.service->record(repeat).cache_hit)
+            << "client " << client;
+    }
+    EXPECT_EQ(r.service->stats().cache_hits, 3u);
+    EXPECT_EQ(r.service->stats().cache_misses, 3u);
+
     // A committed reconfiguration supersedes every cached evaluation.
     const auto c =
         r.service->submit(9, analysis::task_set{{100, 8}}, r.sim.now());
@@ -272,78 +291,6 @@ TEST(analysis_service, result_cache_hits_and_invalidates_on_commit) {
     r.run_until_done(d);
     EXPECT_FALSE(r.service->record(d).cache_hit);
     EXPECT_EQ(r.service->stats().cache_invalidations, 1u);
-    r.run_until_idle();
-    r.expect_conserved();
-}
-
-TEST(analysis_service, breaker_trips_to_degraded_precision_and_recovers) {
-    // Calibrate the slow-evaluation threshold between a cheap and an
-    // expensive exact test, so the breaker FSM can be driven through
-    // closed -> open -> half_open -> closed with real evaluations. The
-    // cost ordering is measured, not assumed: exact-test work tracks the
-    // Theorem 1 bound (bandwidth-utilization gap), not the task count.
-    const std::vector<analysis::task_set> candidates = {
-        {{200, 4}},
-        {{100, 8}},
-        {{100, 30}},
-        {{100, 30}, {150, 30}},
-        {{97, 1}, {89, 1}, {83, 1}, {79, 1}},
-        {{40, 10}},
-    };
-    rig probe;
-    analysis::task_set cheap;
-    analysis::task_set dear;
-    std::uint64_t cheap_cost = 0;
-    std::uint64_t dear_cost = 0;
-    for (const auto& tasks : candidates) {
-        const auto eval = probe.mgr->evaluate(0, tasks);
-        if (!eval.feasible) continue;
-        const auto cost = eval.report.total_cycles;
-        if (cheap.empty() || cost < cheap_cost) {
-            cheap = tasks;
-            cheap_cost = cost;
-        }
-        if (dear.empty() || cost > dear_cost) {
-            dear = tasks;
-            dear_cost = cost;
-        }
-    }
-    ASSERT_GT(dear_cost, cheap_cost + 4) << "no usable cost spread";
-
-    service_config cfg;
-    cfg.workers = 1;
-    cfg.breaker_trip_after = 2;
-    cfg.breaker_slow_cycles = cheap_cost + (dear_cost - cheap_cost) / 2;
-    // The cooldown must outlast the tripping evaluation itself: the
-    // half-open transition is lazy (checked at dispatch), so a cooldown
-    // shorter than dear_cost would already have elapsed by the time the
-    // next request reaches a worker.
-    cfg.breaker_cooldown = dear_cost * 20;
-    cfg.breaker_close_after = 1;
-    rig r(cfg);
-
-    // Two consecutive over-budget exact evaluations trip the breaker.
-    const auto a = r.service->submit(1, dear, r.sim.now());
-    r.run_until_done(a);
-    const auto b = r.service->submit(2, dear, r.sim.now());
-    r.run_until_done(b);
-    EXPECT_EQ(r.service->breaker(), breaker_state::open);
-    EXPECT_EQ(r.service->stats().breaker_trips, 1u);
-
-    // While open, requests are answered from the sufficient-test
-    // portfolio -- degraded precision, reported on the record.
-    const auto c = r.service->submit(3, dear, r.sim.now());
-    r.run_until_done(c);
-    EXPECT_TRUE(r.service->record(c).degraded);
-    EXPECT_GT(r.service->stats().degraded_evals, 0u);
-
-    // After the cooldown the next dispatch half-opens; a fast
-    // full-precision probe closes the breaker again.
-    r.sim.run(cfg.breaker_cooldown + 1);
-    const auto d = r.service->submit(4, cheap, r.sim.now());
-    r.run_until_done(d);
-    EXPECT_EQ(r.service->breaker(), breaker_state::closed);
-    EXPECT_FALSE(r.service->record(d).degraded);
     r.run_until_idle();
     r.expect_conserved();
 }

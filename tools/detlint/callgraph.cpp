@@ -63,11 +63,12 @@ const std::set<std::string>& queue_methods() {
 
 /// Directories whose function definitions participate in the hot set.
 /// The model tree (sim / core / interconnect / mem / workload) owns the
-/// per-cycle contract. Everything else is a sanctioned boundary by
-/// design: src/obs/ handles are the O(1) metric idiom, src/analysis/ and
-/// src/hwcost/ run at admission/selection time, src/svc//src/harness/
-/// /bench//examples//tests/ drive simulations rather than run inside
-/// them. Name-resolved edges into those trees therefore stop. The
+/// per-cycle contract. Everything else is a cold boundary by design
+/// (the hot-path rules only; nondet-source still covers it): src/obs/
+/// handles are the O(1) metric idiom, src/analysis/ and src/hwcost/ run
+/// at admission/selection time, and src/svc/, src/harness/, bench/,
+/// examples/ and tests/ drive simulations rather than run inside them.
+/// Name-resolved edges into those trees therefore stop. The
 /// fixtures/hotpath/ entry makes the rule family testable: lint fixtures
 /// live outside src/ but must still be markable.
 [[nodiscard]] bool hot_eligible(const std::string& path) {

@@ -200,30 +200,13 @@ const std::set<std::string>& banned_call_names() {
 }
 
 void check_nondet_source(const lexed_file& file, std::vector<finding>& out) {
-    // The analysis service's profile mode is the one sanctioned consumer
-    // of host time: wall-clock request deadlines for live deployments,
-    // mutually exclusive with virtual-time deadlines. The sanction is
-    // surgical -- src/svc/ only, and only inside the body of a function
-    // whose name starts with `profile_` -- so the deterministic
-    // virtual-time path can never reach a host clock by accident.
-    std::vector<std::pair<std::size_t, std::size_t>> profile_ranges;
-    if (path_contains(file.path, "/svc/")) {
-        profile_ranges =
-            function_body_ranges(file, [](const std::string& name) {
-                return name.rfind("profile_", 0) == 0;
-            });
-    }
-    const auto sanctioned = [&](std::size_t idx) {
-        for (const auto& [b, e] : profile_ranges) {
-            if (idx >= b && idx < e) return true;
-        }
-        return false;
-    };
+    // No directory is exempt: the one wall-clock reader, the profiling
+    // stopwatch in obs/profile.hpp, carries an explicit
+    // `detlint:allow-file(nondet-source)` with its justification.
     const auto& toks = file.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
         const token& t = toks[i];
         if (t.kind != tok_kind::identifier) continue;
-        if (sanctioned(i)) continue;
         if (banned_type_names().count(t.text) != 0) {
             // Member access like `cfg.system_clock_mhz` lexes as one
             // identifier and never lands here; `foo.steady_clock` would,
@@ -909,8 +892,8 @@ const std::vector<rule_info>& all_rules() {
         {"nondet-source",
          "bans wall-clock/entropy APIs (std::random_device, rand/srand, "
          "time, chrono clocks, getenv): all randomness must come from the "
-         "seeded bluescale::rng; under src/svc/ the bodies of profile_* "
-         "functions are sanctioned (the service's wall-clock profile mode)"},
+         "seeded bluescale::rng and time from cycle_t simulation time; "
+         "no directory is exempt"},
         {"unordered-iter",
          "flags iteration over std::unordered_{map,set} members: order is "
          "unspecified and must never feed stats/CSV output"},
