@@ -5,11 +5,11 @@
 // BlueScale's deadline-aware behaviour.
 //
 //   $ ./bench/ablation_alpha [--trials N] [--cycles N] [--threads N]
-//                            [--seed N] [--metrics out.csv]
-//                            [--trace out.json]
+//                            [--seed N] [--csv out.csv]
+//                            [--metrics out.csv] [--trace out.json]
 //
-// --metrics and --trace export the BlueTree alpha=2 sweep (the paper's
-// setting).
+// --csv dumps one row per table row with the raw aggregates. --metrics
+// and --trace export the BlueTree alpha=2 sweep (the paper's setting).
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -28,6 +28,9 @@ int main(int argc, char** argv) {
     const auto opts = parse_bench_cli(
         argc, argv, defaults, "Ablation A1: BlueTree blocking factor alpha");
 
+    const auto csv = open_bench_csv(
+        opts, {"config", "blocking_us", "worst_us", "miss_ratio"});
+
     std::printf("Ablation A1: BlueTree blocking factor alpha "
                 "(16 clients, utilization 70-90%%)\n\n");
 
@@ -40,7 +43,10 @@ int main(int argc, char** argv) {
 
     stats::table t({"config", "blocking lat (us)", "worst (us)",
                     "miss ratio"});
-    const auto add_row = [&t](std::string config, const sweep_result& r) {
+    const auto add_row = [&t, &csv](std::string config,
+                                    const sweep_result& r) {
+        add_bench_csv_row(csv.get(), {config}, r.totals,
+                          {"blocking_us", "worst_blocking_us", "miss_ratio"});
         t.add_row({std::move(config),
                    stats::table::num(r.series("blocking_us").mean(), 3),
                    stats::table::num(r.series("worst_blocking_us").mean(), 2),

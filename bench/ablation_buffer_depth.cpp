@@ -4,11 +4,13 @@
 // blocking latency and deadline misses.
 //
 //   $ ./bench/ablation_buffer_depth [--trials N] [--cycles N] [--threads N]
-//                                   [--seed N] [--metrics out.csv]
-//                                   [--trace out.json]
+//                                   [--seed N] [--csv out.csv]
+//                                   [--metrics out.csv] [--trace out.json]
 //
-// --metrics and --trace export the depth-8 sweep (the SE default).
+// --csv dumps one row per buffer depth with the raw aggregates. --metrics
+// and --trace export the depth-8 sweep (the SE default).
 #include <cstdio>
+#include <string>
 
 #include "harness/bench_cli.hpp"
 #include "harness/scenario.hpp"
@@ -24,6 +26,9 @@ int main(int argc, char** argv) {
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Ablation A2: BlueScale random-access-buffer depth");
+
+    const auto csv = open_bench_csv(
+        opts, {"buffer_depth", "blocking_us", "worst_us", "miss_ratio"});
 
     std::printf("Ablation A2: BlueScale random-access-buffer depth "
                 "(16 clients, utilization 70-90%%)\n\n");
@@ -43,6 +48,9 @@ int main(int argc, char** argv) {
         const sweep_result r = run_bench_sweep(
             opts, ic_kind::bluescale, s,
             depth == core::se_params{}.buffer_depth);
+        add_bench_csv_row(csv.get(), {std::to_string(depth)}, r.totals,
+                          {"blocking_us", "worst_blocking_us",
+                           "miss_ratio"});
         t.add_row({std::to_string(depth),
                    stats::table::num(r.series("blocking_us").mean(), 3),
                    stats::table::num(r.series("worst_blocking_us").mean(), 2),

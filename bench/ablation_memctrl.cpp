@@ -3,12 +3,16 @@
 // bank-level parallelism; FCFS is strictly in-order.
 //
 //   $ ./bench/ablation_memctrl [--trials N] [--cycles N] [--threads N]
-//                              [--seed N] [--metrics out.csv]
-//                              [--trace out.json]
+//                              [--seed N] [--csv out.csv]
+//                              [--metrics out.csv] [--trace out.json]
 //
-// --metrics and --trace export the BlueScale FR-FCFS sweep of the policy
-// table (the default controller, refresh off).
+// --csv dumps one row per row of both tables with the raw aggregates,
+// keyed by table ("policy" or "refresh"), design and setting. --metrics
+// and --trace export the BlueScale FR-FCFS sweep of the policy table (the
+// default controller, refresh off).
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/scenario.hpp"
@@ -24,6 +28,12 @@ int main(int argc, char** argv) {
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Ablation A4: memory controller policy x interconnect");
+
+    const auto csv = open_bench_csv(
+        opts, {"table", "design", "setting", "blocking_us", "worst_us",
+               "miss_ratio"});
+    const std::vector<std::string> cells{"blocking_us", "worst_blocking_us",
+                                         "miss_ratio"};
 
     std::printf("Ablation A4: memory controller policy x interconnect "
                 "(16 clients, utilization 70-90%%)\n\n");
@@ -47,8 +57,11 @@ int main(int argc, char** argv) {
                 opts, kind, s,
                 kind == ic_kind::bluescale &&
                     policy == memctrl_policy::fr_fcfs);
-            t.add_row({kind_name(kind),
-                       policy == memctrl_policy::fcfs ? "FCFS" : "FR-FCFS",
+            const char* name =
+                policy == memctrl_policy::fcfs ? "FCFS" : "FR-FCFS";
+            add_bench_csv_row(csv.get(), {"policy", kind_name(kind), name},
+                              r.totals, cells);
+            t.add_row({kind_name(kind), name,
                        stats::table::num(r.series("blocking_us").mean(), 3),
                        stats::table::pct(r.series("miss_ratio").mean(), 2)});
         }
@@ -70,6 +83,10 @@ int main(int argc, char** argv) {
                 s.memctrl.timing.t_rfc = 44;
             }
             const sweep_result r = run_sweep(kind, s);
+            add_bench_csv_row(csv.get(),
+                              {"refresh", kind_name(kind),
+                               refresh ? "on" : "off"},
+                              r.totals, cells);
             rt.add_row({kind_name(kind), refresh ? "on" : "off",
                         stats::table::num(r.series("worst_blocking_us").mean(),
                                           2),

@@ -4,11 +4,11 @@
 // slack-reclamation fallback contributes.
 //
 //   $ ./bench/ablation_server_policy [--trials N] [--cycles N] [--threads N]
-//                                    [--seed N] [--metrics out.csv]
-//                                    [--trace out.json]
+//                                    [--seed N] [--csv out.csv]
+//                                    [--metrics out.csv] [--trace out.json]
 //
-// --metrics and --trace export the paper's variant (GEDF +
-// work-conserving).
+// --csv dumps one row per variant with the raw aggregates. --metrics and
+// --trace export the paper's variant (GEDF + work-conserving).
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults, "Ablation A5: SE server-task policy");
+
+    const auto csv = open_bench_csv(
+        opts, {"variant", "blocking_us", "worst_us", "miss_ratio"});
 
     std::printf("Ablation A5: SE server-task policy "
                 "(16 clients, utilization 70-90%%)\n\n");
@@ -59,6 +62,9 @@ int main(int argc, char** argv) {
             run_bench_sweep(opts, ic_kind::bluescale, s,
                             v.policy == core::server_policy::gedf &&
                                 v.work_conserving);
+        add_bench_csv_row(csv.get(), {v.name}, r.totals,
+                          {"blocking_us", "worst_blocking_us",
+                           "miss_ratio"});
         t.add_row({v.name,
                    stats::table::num(r.series("blocking_us").mean(), 3),
                    stats::table::num(r.series("worst_blocking_us").mean(), 2),

@@ -4,11 +4,11 @@
 // between the heuristic trees and the deadline-aware designs.
 //
 //   $ ./bench/extended_baselines [--trials N] [--cycles N] [--threads N]
-//                                [--seed N] [--metrics out.csv]
-//                                [--trace out.json]
+//                                [--seed N] [--csv out.csv]
+//                                [--metrics out.csv] [--trace out.json]
 //
-// --metrics and --trace export the AXI-HyperConnect sweep (the design
-// this bench adds).
+// --csv dumps one row per design with the raw aggregates. --metrics and
+// --trace export the AXI-HyperConnect sweep (the design this bench adds).
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -26,6 +26,9 @@ int main(int argc, char** argv) {
         argc, argv, defaults,
         "Extended baselines: the paper's six plus AXI-HyperConnect");
 
+    const auto csv = open_bench_csv(
+        opts, {"design", "blocking_us", "worst_us", "miss_ratio"});
+
     std::printf("Extended baselines: the paper's six plus "
                 "AXI-HyperConnect [15] (16 clients, utilization "
                 "70-90%%)\n\n");
@@ -42,6 +45,9 @@ int main(int argc, char** argv) {
     for (ic_kind kind : k_extended_kinds) {
         const sweep_result r = run_bench_sweep(
             opts, kind, s, kind == ic_kind::axi_hyperconnect);
+        add_bench_csv_row(csv.get(), {kind_name(kind)}, r.totals,
+                          {"blocking_us", "worst_blocking_us",
+                           "miss_ratio"});
         t.add_row({kind_name(kind),
                    stats::table::num(r.series("blocking_us").mean(), 3),
                    stats::table::num(r.series("worst_blocking_us").mean(), 2),

@@ -28,7 +28,6 @@
 
 #include "harness/bench_cli.hpp"
 #include "harness/scenario.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -146,33 +145,24 @@ void run_mode(bool aware, const bench_options& opts,
                      count("deadline_alarms"),
                      count("shed_events") + "/" + count("restore_events"),
                      count("feasible_trials")});
-                if (csv != nullptr) {
-                    // Raw aggregate cells come off the sweep's totals
-                    // through the one exporter path; only the sweep
-                    // coordinates are composed here.
-                    std::vector<std::string> row{
-                        aware ? "aware" : "unaware",
-                        std::to_string(rf.t_refi),
-                        std::to_string(sc.interval),
-                        std::to_string(hm.threshold)};
-                    for (auto& cell : obs::metric_cells(
-                             r.totals,
-                             {"hard_miss_ratio", "hard_miss_ratio:sd",
-                              "best_effort_miss_ratio",
-                              "p99_latency_cycles", "hard_misses",
-                              "best_effort_misses", "refreshes", "scrubs",
-                              "hammer_mitigations",
-                              "maintenance_stolen_cycles",
-                              "maintenance_storm_cycles",
-                              "injected_events", "windows_checked",
-                              "supply_shortfall_alarms",
-                              "deadline_alarms", "shed_events",
-                              "restore_events", "shed_client_cycles",
-                              "feasible_trials"})) {
-                        row.push_back(std::move(cell));
-                    }
-                    csv->add_row(row);
-                }
+                // Raw aggregate cells come off the sweep's totals through
+                // the one exporter path; only the sweep coordinates are
+                // composed here.
+                add_bench_csv_row(
+                    csv,
+                    {aware ? "aware" : "unaware", std::to_string(rf.t_refi),
+                     std::to_string(sc.interval),
+                     std::to_string(hm.threshold)},
+                    r.totals,
+                    {"hard_miss_ratio", "hard_miss_ratio:sd",
+                     "best_effort_miss_ratio", "p99_latency_cycles",
+                     "hard_misses", "best_effort_misses", "refreshes",
+                     "scrubs", "hammer_mitigations",
+                     "maintenance_stolen_cycles",
+                     "maintenance_storm_cycles", "injected_events",
+                     "windows_checked", "supply_shortfall_alarms",
+                     "deadline_alarms", "shed_events", "restore_events",
+                     "shed_client_cycles", "feasible_trials"});
             }
         }
     }

@@ -277,11 +277,11 @@ void bm_schedulability_sufficient(benchmark::State& state) {
         tasks.push_back({period, gen.uniform_u64(1, period / 16)});
     }
     analysis::sched_test_config cfg;
-    cfg.sufficient_only = true;
+    cfg.cheap_first = true;
     const analysis::sched_kernel kernel(tasks, cfg);
     const analysis::resource_interface iface{64, 24};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(kernel.test(iface));
+        benchmark::DoNotOptimize(kernel.sufficient(iface));
     }
 }
 BENCHMARK(bm_schedulability_sufficient);

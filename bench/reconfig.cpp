@@ -26,7 +26,6 @@
 
 #include "harness/bench_cli.hpp"
 #include "harness/scenario.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -86,29 +85,20 @@ void run_design(ic_kind kind, const bench_options& opts,
                    stats::table::pct(r.series("miss_ratio").mean(), 2),
                    count("hard_misses"), count("best_effort_misses"),
                    count("shed_events") + "/" + count("restore_events")});
-        if (csv != nullptr) {
-            // Raw aggregate cells come off the sweep's totals through the
-            // one exporter path; only the design key and the sweep
-            // coordinate are composed here.
-            std::vector<std::string> row{kind_name(kind),
-                                         std::to_string(rate)};
-            for (auto& cell : obs::metric_cells(
-                     r.totals,
-                     {"submitted", "applied_unchecked", "admitted",
-                      "committed", "rolled_back", "rejected_infeasible",
-                      "rejected_overutilized", "rejected_path_hazard",
-                      "admission_ratio", "reconfig_latency_cycles",
-                      "reconfig_latency_cycles:max", "transition_misses",
-                      "miss_ratio", "miss_ratio:sd", "hard_misses",
-                      "best_effort_misses", "live_reconfigurations",
-                      "windows_checked", "violating_windows",
-                      "supply_shortfall_alarms", "shed_events",
-                      "restore_events", "shed_client_cycles",
-                      "shed_deferrals", "feasible_trials"})) {
-                row.push_back(std::move(cell));
-            }
-            csv->add_row(row);
-        }
+        // Raw aggregate cells come off the sweep's totals through the one
+        // exporter path; only the design key and the sweep coordinate are
+        // composed here.
+        add_bench_csv_row(
+            csv, {kind_name(kind), std::to_string(rate)}, r.totals,
+            {"submitted", "applied_unchecked", "admitted", "committed",
+             "rolled_back", "rejected_infeasible", "rejected_overutilized",
+             "rejected_path_hazard", "admission_ratio",
+             "reconfig_latency_cycles", "reconfig_latency_cycles:max",
+             "transition_misses", "miss_ratio", "miss_ratio:sd",
+             "hard_misses", "best_effort_misses", "live_reconfigurations",
+             "windows_checked", "violating_windows",
+             "supply_shortfall_alarms", "shed_events", "restore_events",
+             "shed_client_cycles", "shed_deferrals", "feasible_trials"});
     }
     t.print();
 }

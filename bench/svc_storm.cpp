@@ -24,7 +24,6 @@
 
 #include "harness/bench_cli.hpp"
 #include "harness/scenario.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -98,26 +97,18 @@ int main(int argc, char** argv) {
                    count("hard_misses"),
                    count("conserved_trials") + "/" +
                        std::to_string(s.trials)});
-        if (csv != nullptr) {
-            std::vector<std::string> row{std::to_string(rate)};
-            for (auto& cell : obs::metric_cells(
-                     r.totals,
-                     {"submitted", "shed", "expired", "committed",
-                      "rejected", "rejected_infeasible",
-                      "rejected_overutilized", "rejected_path_hazard",
-                      "rolled_back", "request_retries", "requeues",
-                      "worker_crashes", "worker_stall_cycles",
-                      "cache_hits", "cache_misses", "cache_hit_ratio",
-                      "cache_invalidations", "stale_reevals",
-                      "request_latency_cycles",
-                      "request_latency_cycles:max", "eval_cycles",
-                      "miss_ratio", "hard_misses", "best_effort_misses",
-                      "live_reconfigurations", "feasible_trials",
-                      "drained_trials", "conserved_trials"})) {
-                row.push_back(std::move(cell));
-            }
-            csv->add_row(row);
-        }
+        add_bench_csv_row(
+            csv.get(), {std::to_string(rate)}, r.totals,
+            {"submitted", "shed", "expired", "committed", "rejected",
+             "rejected_infeasible", "rejected_overutilized",
+             "rejected_path_hazard", "rolled_back", "request_retries",
+             "requeues", "worker_crashes", "worker_stall_cycles",
+             "cache_hits", "cache_misses", "cache_hit_ratio",
+             "cache_invalidations", "stale_reevals",
+             "request_latency_cycles", "request_latency_cycles:max",
+             "eval_cycles", "miss_ratio", "hard_misses",
+             "best_effort_misses", "live_reconfigurations",
+             "feasible_trials", "drained_trials", "conserved_trials"});
     }
     t.print();
     return 0;

@@ -59,8 +59,8 @@ trial_result run_trial(std::uint32_t n_clients, double util_lo,
     out.feasible = selection.feasible;
     if (!out.feasible) return out;
 
-    core::bluescale_config bs_cfg;
-    core::bluescale_ic fabric(n_clients, bs_cfg);
+    const core::se_params se;
+    core::bluescale_ic fabric(n_clients, se);
     fabric.configure(selection);
     memory_controller mem;
     fabric.attach_memory(mem);
@@ -102,11 +102,11 @@ trial_result run_trial(std::uint32_t n_clients, double util_lo,
         out.worst_observed = std::max(
             out.worst_observed, clients[c]->stats().latency_cycles().max());
         const auto bound = analysis::wcrt_bound(
-            selection, c, bs_cfg.se.buffer_depth, mm);
+            selection, c, se.buffer_depth, mm);
         if (bound.bounded) {
             out.largest_bound =
                 std::max(out.largest_bound,
-                         bound.total_cycles(bs_cfg.se.unit_cycles));
+                         bound.total_cycles(se.unit_cycles));
         }
     }
     return out;

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Driver-level export gate for the ten scenario drivers:
-#   * each driver's --metrics file, its stdout table and (for the five
-#     drivers with a --csv table) its --csv file hold more than a header
-#     line and are byte-identical under --threads 1, --threads 4 and
-#     --lockstep;
+#   * each driver's --metrics file, its stdout table and its --csv file
+#     hold more than a header line and are byte-identical under
+#     --threads 1, --threads 4 and --lockstep;
 #   * stdout at --seed 3 differs from stdout at --seed 1, so a driver that
 #     accepts --seed but ignores it fails.
 # The harness tests hold run_sweep to the same contract; this check covers
@@ -22,7 +21,6 @@ trap 'rm -rf "$out"' EXIT
 drivers=(fig6_synthetic extended_baselines ablation_alpha
          ablation_buffer_depth ablation_memctrl ablation_server_policy
          resilience reconfig maintenance svc_storm)
-csv_drivers=" fig6_synthetic resilience reconfig maintenance svc_storm "
 
 status=0
 fail() {
@@ -36,8 +34,6 @@ for driver in "${drivers[@]}"; do
         echo "check_bench_exports: $exe not built" >&2
         exit 1
     fi
-    exts=(metrics stdout)
-    if [[ "$csv_drivers" == *" $driver "* ]]; then exts+=(csv); fi
     for mode in threads1 threads4 lockstep; do
         case "$mode" in
         threads1) flags=(--threads 1) ;;
@@ -49,7 +45,7 @@ for driver in "${drivers[@]}"; do
             --metrics "$out/$driver.$mode.metrics" \
             >"$out/$driver.$mode.stdout"
     done
-    for ext in "${exts[@]}"; do
+    for ext in metrics stdout csv; do
         ref="$out/$driver.threads1.$ext"
         if [[ ! -e "$ref" || $(wc -l <"$ref") -lt 2 ]]; then
             fail "$driver wrote no $ext rows"

@@ -8,8 +8,10 @@
 // `svc::analysis_service`) all thread the SAME context instead of growing
 // parallel default-arg chains. The cheap-first ladder plus the exact
 // test's abort budget is the stack's one precision-degradation
-// mechanism. A default-constructed context reproduces the paper-faithful
-// serial exact-test behaviour bit-for-bit.
+// mechanism; no knob here selects the sufficient portfolio alone (that is
+// is_schedulable_sufficient, a direct entry for tests and benchmarks). A
+// default-constructed context reproduces the paper-faithful serial
+// exact-test behaviour bit-for-bit.
 #pragma once
 
 #include <cstdint>

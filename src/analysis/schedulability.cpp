@@ -1,6 +1,7 @@
 #include "analysis/schedulability.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -33,13 +34,12 @@ sched_kernel::sched_kernel(const task_set& tasks,
                            const sched_test_config& cfg)
     : tasks_(tasks), cfg_(cfg), u_(analysis::utilization(tasks)),
       mu_(cfg.maintenance.utilization()), burst_(cfg.maintenance.burst()) {
-    const bool sufficient_rung = cfg.sufficient_only || cfg.cheap_first;
     for (const auto& task : tasks) {
         if (task.wcet == 0 || task.period == 0) continue;
         if (min_period_ == 0 || task.period < min_period_) {
             min_period_ = task.period;
         }
-        if (sufficient_rung) {
+        if (cfg.cheap_first) {
             breakpoints_.push_back({task.period, task.utilization()});
         }
     }
@@ -85,6 +85,7 @@ bool sched_kernel::fails_necessary(const resource_interface& iface) const {
 }
 
 sched_result sched_kernel::sufficient(const resource_interface& iface) const {
+    assert(cfg_.cheap_first); // otherwise the breakpoints are unprepared
     if (cfg_.stats != nullptr) ++cfg_.stats->tests_run;
     if (tasks_.empty()) return sched_result::schedulable;
     if (fails_necessary(iface)) return sched_result::unschedulable;
@@ -171,7 +172,6 @@ sched_result sched_kernel::exact(const resource_interface& iface) const {
 }
 
 sched_result sched_kernel::test(const resource_interface& iface) const {
-    if (cfg_.sufficient_only) return sufficient(iface);
     if (cfg_.cheap_first) {
         // Cheap-first ladder: both rungs are sound, so the portfolio's
         // verdict (when it has one) is final and the exact enumeration is
@@ -190,8 +190,8 @@ sched_result is_schedulable_sufficient(const task_set& tasks,
                                        const resource_interface& iface,
                                        const sched_test_config& cfg) {
     sched_test_config portfolio = cfg;
-    portfolio.sufficient_only = true;
-    return sched_kernel(tasks, portfolio).test(iface);
+    portfolio.cheap_first = true;
+    return sched_kernel(tasks, portfolio).sufficient(iface);
 }
 
 sched_result is_schedulable(const task_set& tasks,

@@ -66,22 +66,13 @@ struct sched_test_config {
     /// Theorem 1 bound; an empty model (the default) reproduces the
     /// uncorrected test bit-for-bit.
     maintenance_model maintenance = {};
-    /// Sufficient-only mode (is_schedulable_sufficient sets it):
-    /// is_schedulable() answers with the linear-time sufficient-test
-    /// portfolio only and never enumerates dbf points. Sound -- a
-    /// `schedulable` verdict is still a proof -- but incomplete: task sets
-    /// the portfolio cannot decide come back `aborted` (conservatively
-    /// treated as unschedulable by every caller). Default false reproduces
-    /// the pseudo-polynomial exact test bit-for-bit.
-    bool sufficient_only = false;
     /// Cheap-first test ladder: is_schedulable() tries the linear-time
     /// sufficient portfolio first and runs the pseudo-polynomial exact
     /// test only when the portfolio returns `aborted` (undecided). Both
     /// rungs are sound, so a laddered verdict can differ from the
     /// exact-only verdict only where the exact test itself would abort
     /// (work cap) -- there the ladder may still prove schedulability.
-    /// Ignored when sufficient_only is set. Default false reproduces the
-    /// exact test bit-for-bit.
+    /// Default false reproduces the exact test bit-for-bit.
     bool cheap_first = false;
 };
 
@@ -116,10 +107,15 @@ public:
     sched_kernel(task_set&&, const sched_test_config&) = delete;
     sched_kernel(const task_set&, sched_test_config&&) = delete;
 
-    /// The rung ladder `cfg` selects: the sufficient portfolio alone
-    /// (sufficient_only), the portfolio then the exact test on an
-    /// undecided verdict (cheap_first), or the exact test alone.
+    /// The rung ladder `cfg` selects: the sufficient portfolio then the
+    /// exact test on an undecided verdict (cheap_first), or the exact test
+    /// alone.
     [[nodiscard]] sched_result test(const resource_interface& iface) const;
+
+    /// The sufficient portfolio alone (see is_schedulable_sufficient).
+    /// Its breakpoints are prepared only for a `cfg` with cheap_first set.
+    [[nodiscard]] sched_result
+    sufficient(const resource_interface& iface) const;
 
     /// utilization(tasks), computed once.
     [[nodiscard]] double utilization() const { return u_; }
@@ -130,8 +126,6 @@ private:
         double u_acc; ///< utilization of every task with T_i <= period
     };
 
-    [[nodiscard]] sched_result
-    sufficient(const resource_interface& iface) const;
     [[nodiscard]] sched_result exact(const resource_interface& iface) const;
     [[nodiscard]] bool fails_necessary(const resource_interface& iface) const;
 
@@ -147,14 +141,14 @@ private:
 /// Checks dbf(t, tasks) <= sbf(t, iface) for all t < beta (sufficient by
 /// Theorem 1 for all t). Requires iface.bandwidth() > utilization(tasks)
 /// as a necessary precondition; returns unschedulable when violated.
-/// With cfg.sufficient_only set, delegates to is_schedulable_sufficient.
 /// A one-shot sched_kernel; prepare one to test many interfaces.
 [[nodiscard]] sched_result is_schedulable(const task_set& tasks,
                                           const resource_interface& iface,
                                           const sched_test_config& cfg = {});
 
 /// Linear-time sufficient-test portfolio (the cheap rung of the
-/// cheap-first test ladder, and the answer of sufficient_only):
+/// cheap-first test ladder), answered by sched_kernel::sufficient on a
+/// kernel prepared with cheap_first:
 ///
 ///  1. necessary filters shared with the exact test: effective bandwidth
 ///     above utilization, and the first-job blackout check -- a failure

@@ -45,7 +45,6 @@ selection_key make_selection_key(const task_set& tasks,
     k = fnv_mix(k, ctx.max_period);
     k = fnv_mix(k, std::bit_cast<std::uint64_t>(ctx.bandwidth_tolerance));
     k = fnv_mix(k, ctx.sched.max_test_points);
-    k = fnv_mix(k, static_cast<std::uint64_t>(ctx.sched.sufficient_only));
     k = fnv_mix(k, static_cast<std::uint64_t>(ctx.sched.cheap_first));
     k = fnv_mix(k, ctx.sched.maintenance.ops.size());
     for (const maintenance_op& op : ctx.sched.maintenance.ops) {

@@ -6,9 +6,9 @@
 
 namespace bluescale::core {
 
-bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
+bluescale_ic::bluescale_ic(std::uint32_t n_clients, se_params params,
                            std::string name)
-    : interconnect(std::move(name), n_clients), cfg_(cfg),
+    : interconnect(std::move(name), n_clients),
       shape_(analysis::make_quadtree_shape(n_clients)) {
     const std::uint32_t depth = shape_.leaf_level;
     levels_.resize(depth + 1);
@@ -18,7 +18,7 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
         for (std::uint32_t y = 0; y < count; ++y) {
             levels_[l].push_back(std::make_unique<scale_element>(
                 "SE(" + std::to_string(l) + "," + std::to_string(y) + ")",
-                cfg_.se));
+                params));
             levels_[l].back()->set_tree_level(l);
         }
     }
@@ -27,14 +27,12 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
     for (std::uint32_t l = 0; l <= depth; ++l) {
         level_begin_[l + 1] = level_begin_[l] + shape_.ses_at_level(l);
     }
-    if (cfg_.responses == response_model::demux_network) {
-        resp_q_.reserve(shape_.total_ses());
-        for (std::uint32_t i = 0; i < shape_.total_ses(); ++i) {
-            resp_q_.emplace_back(cfg_.response_buffer_depth);
-        }
-        resp_staged_.assign((shape_.total_ses() + 63) / 64, 0);
-        resp_visible_.assign(resp_staged_.size(), 0);
+    resp_q_.reserve(shape_.total_ses());
+    for (std::uint32_t i = 0; i < shape_.total_ses(); ++i) {
+        resp_q_.emplace_back(k_demux_buffer_depth);
     }
+    resp_staged_.assign((shape_.total_ses() + 63) / 64, 0);
+    resp_visible_.assign(resp_staged_.size(), 0);
 
     // Every SE wake bubbles up to the fabric so the simulator re-arms it
     // (client pushes reach the SE buffers directly, bypassing tick()).
@@ -207,14 +205,9 @@ void bluescale_ic::tick(cycle_t now) {
             return se->next_event(now);
         });
     }
-    if (cfg_.responses == response_model::demux_network) {
-        // A provable no-op with nothing to pull and nothing en route.
-        if (memory_has_response() || resp_in_network_ > 0) {
-            tick_response_network(now);
-        }
-    } else {
-        drain_memory_responses(now);
-        deliver_due_responses(now);
+    // A provable no-op with nothing to pull and nothing en route.
+    if (memory_has_response() || resp_in_network_ > 0) {
+        tick_response_network(now);
     }
 }
 
@@ -246,14 +239,9 @@ cycle_t bluescale_ic::next_event(cycle_t now) const {
     // the attach_memory() wake.
     cycle_t due = se_schedule_.next_due();
     // Response path: the demux network forwards one response per SE per
-    // cycle while anything is en route; the delay-line model exposes its
-    // horizon directly.
-    if (cfg_.responses == response_model::demux_network) {
-        if (memory_has_response() || resp_in_network_ > 0) {
-            due = std::min(due, now + 1);
-        }
-    } else {
-        due = std::min(due, response_horizon(now));
+    // cycle while anything is en route.
+    if (memory_has_response() || resp_in_network_ > 0) {
+        due = std::min(due, now + 1);
     }
     return due;
 }

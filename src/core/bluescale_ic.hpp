@@ -3,7 +3,8 @@
 // memory sub-system (root). Each SE needs only local information, yet the
 // per-SE compositional schedulers together guarantee system-wide real-time
 // performance once the interface selection (Sec. 5) has programmed every
-// server task.
+// server task. Responses return through each SE's DeMux (Fig. 2(b)), one
+// per SE per cycle, into bounded per-child buffers with backpressure.
 #pragma once
 
 #include <cstdint>
@@ -20,27 +21,13 @@
 
 namespace bluescale::core {
 
-/// How the response path (memory -> client) is simulated.
-enum class response_model : std::uint8_t {
-    /// Contention-free fixed latency of depth hops (upper-bound-accurate
-    /// for response rates below one per cycle per subtree).
-    ideal_latency,
-    /// Cycle-accurate demux network: each SE's response port forwards one
-    /// response per cycle into per-child buffers with backpressure
-    /// (paper Fig. 2(b)'s DeMux).
-    demux_network,
-};
-
-struct bluescale_config {
-    se_params se = {};
-    response_model responses = response_model::demux_network;
-    /// Per-SE response buffer depth (demux_network model).
-    std::size_t response_buffer_depth = 4;
-};
-
 class bluescale_ic : public interconnect {
 public:
-    bluescale_ic(std::uint32_t n_clients, bluescale_config cfg = {},
+    /// Per-SE response buffer depth of the demux network.
+    static constexpr std::size_t k_demux_buffer_depth = 4;
+
+    /// Every SE runs `params`.
+    bluescale_ic(std::uint32_t n_clients, se_params params = {},
                  std::string name = "bluescale");
 
     /// Programs every SE's server tasks from a resolved interface
@@ -130,7 +117,6 @@ private:
     /// Stages `r` at flat response port `i`.
     void push_response(std::uint32_t i, mem_request r);
 
-    bluescale_config cfg_;
     analysis::quadtree_shape shape_;
     /// level_begin_[l]: se_linear_index(l, 0); one past the leaf level
     /// holds total_ses().
@@ -152,7 +138,7 @@ private:
     /// se_flat_[i] (each SE's wake() is bound into it).
     std::vector<scale_element*> se_flat_;
     sim::wake_schedule se_schedule_;
-    /// Level-major flat response ports (demux_network model only):
+    /// Level-major flat response ports (paper Fig. 2(b)'s DeMux):
     /// resp_q_[i] holds the responses waiting at SE i's provider-side
     /// response port. The bitsets mark ports with staged pushes (to
     /// commit) and with visible responses (to forward), so the commit

@@ -11,10 +11,8 @@ meshed_bluescale_ic::meshed_bluescale_ic(std::uint32_t n_clients,
     assert(cfg_.channels >= 1);
     for (std::uint32_t k = 0; k < cfg_.channels; ++k) {
         trees_.push_back(std::make_unique<bluescale_ic>(
-            n_clients, cfg_.tree,
-            "bluescale_ch" + std::to_string(k)));
-        controllers_.push_back(
-            std::make_unique<memory_controller>(cfg_.memctrl));
+            n_clients, se_params{}, "bluescale_ch" + std::to_string(k)));
+        controllers_.push_back(std::make_unique<memory_controller>());
         trees_[k]->attach_memory(*controllers_[k]);
         // Channel trees hand completed responses straight up; this
         // wrapper owns the client-facing bookkeeping.

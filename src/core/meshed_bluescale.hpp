@@ -19,13 +19,11 @@ struct meshed_config {
     std::uint32_t channels = 2;
     /// Consecutive chunks of this many bytes alternate across channels.
     std::uint64_t interleave_bytes = 4096;
-    bluescale_config tree = {};
-    memctrl_config memctrl = {};
 };
 
-/// Owns `channels` BlueScale trees and their memory controllers; presents
-/// the standard interconnect interface (the memory side is internal, so
-/// attach_memory must not be called).
+/// Owns `channels` default BlueScale trees and default memory controllers;
+/// presents the standard interconnect interface (the memory side is
+/// internal, so attach_memory must not be called).
 class meshed_bluescale_ic : public interconnect {
 public:
     meshed_bluescale_ic(std::uint32_t n_clients, meshed_config cfg = {});

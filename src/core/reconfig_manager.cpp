@@ -174,7 +174,7 @@ void reconfig_manager::start_admission(queued_request req, cycle_t now) {
     // is refused outright (the selector FSMs on that path cannot be
     // trusted to deliver).
     std::string hazard;
-    if (cfg_.reject_degraded_path && path_hazard(req.client, &hazard)) {
+    if (path_hazard(req.client, &hazard)) {
         rec.outcome = admission_outcome::rejected_path_hazard;
         rec.detail = hazard;
         rec.resolved_at = now;

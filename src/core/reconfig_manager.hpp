@@ -56,7 +56,7 @@ enum class admission_outcome : std::uint8_t {
     /// Rejected: the new selection would over-utilize the root resource.
     rejected_overutilized,
     /// Rejected: a request-path SE was degraded or stalled when the
-    /// admission test ran (reconfig_config::reject_degraded_path).
+    /// admission test ran (the admission-time hazard gate).
     rejected_path_hazard,
     /// Rejected at submission: the analysis service's bounded queue was
     /// full (its shed outcome). The admission test never ran, so the
@@ -81,10 +81,6 @@ struct reconfig_config {
     /// selection cache, parallelism) threaded into every admission test.
     analysis::analysis_context selection = {};
     reconfig_costs costs = {};
-    /// Run the admission-time hazard check: reject a request outright when
-    /// a request-path SE is already degraded or stalled (otherwise the
-    /// request stages and takes its chances with a mid-flight rollback).
-    bool reject_degraded_path = true;
 };
 
 /// Full audit record of one request, kept for every submission.

@@ -104,7 +104,7 @@ std::uint64_t supply_watchdog::supply_violations(cycle_t window_cycles) {
                 // interference beyond the maintenance model can alarm.
                 if (d_bkl < window_cycles) continue;
                 const auto guarantee = static_cast<std::uint64_t>(
-                    std::floor(cfg_.supply_margin *
+                    std::floor(k_conformance_margin *
                                static_cast<double>(analysis::maintenance_sbf(
                                    window_units, *iface,
                                    cfg_.maintenance))));
@@ -163,7 +163,7 @@ void supply_watchdog::check(cycle_t now) {
         c.total_missed = m;
         if (c.cls == client_class::hard) {
             hard_misses_.inc(delta);
-            if (delta > cfg_.miss_tolerance) {
+            if (delta > k_hard_miss_allowance) {
                 ++miss_alarms;
                 raise(watchdog_alarm::hard_deadline_miss, now);
             }
@@ -183,7 +183,6 @@ void supply_watchdog::check(cycle_t now) {
         ++clean_streak_;
     }
 
-    if (!cfg_.shedding) return;
     if (!shedding_now_ && violating_streak_ >= cfg_.shed_enter_windows) {
         set_shed(true, now);
         violating_streak_ = 0;

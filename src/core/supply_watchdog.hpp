@@ -35,11 +35,18 @@ namespace bluescale::core {
 
 class bluescale_ic;
 
+/// A backlogged port conforms while it receives at least this fraction of
+/// sbf(window) -- headroom for window-phase effects.
+inline constexpr double k_conformance_margin = 0.9;
+/// Hard-client deadline misses tolerated per window.
+inline constexpr std::uint64_t k_hard_miss_allowance = 0;
+
 enum class watchdog_alarm : std::uint8_t {
-    /// A fully backlogged SE port received less than margin * sbf(window).
+    /// A fully backlogged SE port received less than
+    /// k_conformance_margin * sbf(window).
     supply_shortfall,
-    /// A hard real-time client missed more than miss_tolerance deadlines
-    /// inside one window.
+    /// A hard real-time client missed more than k_hard_miss_allowance
+    /// deadlines inside one window.
     hard_deadline_miss,
     /// Sustained violation: best-effort clients were shed.
     overload_shed,
@@ -55,11 +62,6 @@ enum class client_class : std::uint8_t { hard, best_effort };
 struct watchdog_config {
     /// Cycles per sliding conformance window (one check per window).
     cycle_t check_period = 1024;
-    /// A backlogged port conforms while it receives at least this
-    /// fraction of sbf(window) -- headroom for window-phase effects.
-    double supply_margin = 0.9;
-    /// Hard-client deadline misses tolerated per window.
-    std::uint64_t miss_tolerance = 0;
     /// Consecutive violating windows before best-effort clients are shed.
     std::uint32_t shed_enter_windows = 2;
     /// Consecutive clean windows before shed clients are restored.
@@ -68,8 +70,6 @@ struct watchdog_config {
     /// backoff: a recurring overload sheds again quickly but restores ever
     /// more cautiously, bounding shed/restore transitions to O(log T)).
     std::uint32_t restore_backoff = 2;
-    /// Master switch: false = observe and alarm only, never shed.
-    bool shedding = true;
     /// MODELED device maintenance (mem::to_maintenance_model): the
     /// conformance guarantee is the maintenance-corrected
     /// sbf(window - stolen(window)), so budgeted refresh/scrub/mitigation

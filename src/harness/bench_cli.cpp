@@ -138,6 +138,16 @@ open_bench_csv(const bench_options& opts, std::vector<std::string> headers) {
     return csv;
 }
 
+void add_bench_csv_row(stats::csv_writer* csv, std::vector<std::string> row,
+                       const obs::snapshot& totals,
+                       const std::vector<std::string>& names) {
+    if (csv == nullptr) return;
+    for (auto& cell : obs::metric_cells(totals, names)) {
+        row.push_back(std::move(cell));
+    }
+    csv->add_row(row);
+}
+
 namespace {
 
 /// Shared open/verify for the obs exporters (consistent with

@@ -59,6 +59,12 @@ struct bench_options {
 [[nodiscard]] std::unique_ptr<stats::csv_writer>
 open_bench_csv(const bench_options& opts, std::vector<std::string> headers);
 
+/// Appends one row to an open --csv sink (no-op when `csv` is null): the
+/// label cells in `row`, then obs::metric_cells(totals, names).
+void add_bench_csv_row(stats::csv_writer* csv, std::vector<std::string> row,
+                       const obs::snapshot& totals,
+                       const std::vector<std::string>& names);
+
 /// Writes the merged metrics snapshot when --metrics was given (no-op
 /// otherwise). The export is snapshot::write_csv's sorted, deterministic
 /// CSV, so the file is byte-identical across --threads settings. Exits

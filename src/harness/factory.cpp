@@ -91,9 +91,9 @@ make_interconnect(ic_kind kind, const ic_build_options& opts) {
         return std::make_unique<axi_hyperconnect>(n, cfg);
     }
     case ic_kind::bluescale: {
-        core::bluescale_config cfg;
-        cfg.se.unit_cycles = opts.unit_cycles;
-        auto ic = std::make_unique<core::bluescale_ic>(n, cfg);
+        core::se_params se;
+        se.unit_cycles = opts.unit_cycles;
+        auto ic = std::make_unique<core::bluescale_ic>(n, se);
         if (opts.selection != nullptr && opts.selection->feasible) {
             ic->configure(*opts.selection);
         }

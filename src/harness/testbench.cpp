@@ -23,10 +23,9 @@ testbench::testbench(ic_kind kind, const testbench_options& opts)
     ic_ = make_interconnect(kind, build);
     if (kind == ic_kind::bluescale && opts.bluescale_se.has_value()) {
         // SE ablations rebuild the fabric with the override.
-        core::bluescale_config bs_cfg;
-        bs_cfg.se = *opts.bluescale_se;
-        bs_cfg.se.unit_cycles = unit_cycles_;
-        auto bs = std::make_unique<core::bluescale_ic>(opts.n_clients, bs_cfg);
+        core::se_params se = *opts.bluescale_se;
+        se.unit_cycles = unit_cycles_;
+        auto bs = std::make_unique<core::bluescale_ic>(opts.n_clients, se);
         if (selection_.feasible) bs->configure(selection_);
         ic_ = std::move(bs);
     }

@@ -77,15 +77,6 @@ snapshot registry::take_snapshot(bool include_profile) const {
     return out;
 }
 
-void registry::reset_values() {
-    for (auto& s : slots_) {
-        s.count = 0;
-        s.level = 0;
-        s.value = 0.0;
-        s.samples = {};
-    }
-}
-
 const metric_value* snapshot::find(std::string_view name) const {
     const auto it = std::lower_bound(
         entries_.begin(), entries_.end(), name,
@@ -119,31 +110,6 @@ void snapshot::merge(const snapshot& other) {
         }
     }
     entries_ = std::move(merged);
-}
-
-snapshot snapshot::diff(const snapshot& base) const {
-    snapshot out;
-    out.entries_.reserve(entries_.size());
-    for (const entry& e : entries_) {
-        entry d = e;
-        if (const metric_value* b = base.find(e.first); b != nullptr) {
-            d.second.count -= b->count;
-            d.second.level -= b->level;
-            d.second.value -= b->value;
-            // sample_set appends only, so the delta is the tail beyond
-            // base's count.
-            const auto& all = e.second.samples.samples();
-            const auto skip = static_cast<std::size_t>(
-                std::min<std::uint64_t>(b->samples.count(), all.size()));
-            stats::sample_set tail;
-            for (std::size_t i = skip; i < all.size(); ++i) {
-                tail.add(all[i]);
-            }
-            d.second.samples = std::move(tail);
-        }
-        out.entries_.push_back(std::move(d));
-    }
-    return out;
 }
 
 snapshot snapshot::profile_only() const {

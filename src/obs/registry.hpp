@@ -142,7 +142,7 @@ private:
 };
 
 /// One metric's value, decoupled from registry storage (snapshots own
-/// their data so they can outlive, merge across, and diff against trials).
+/// their data so they can outlive and merge across trials).
 struct metric_value {
     metric_kind kind = metric_kind::counter;
     std::uint32_t flags = 0;
@@ -170,11 +170,6 @@ public:
     /// trial order reproduces the serial sample sequence bit-for-bit).
     /// Metrics absent on one side are adopted as-is.
     void merge(const snapshot& other);
-
-    /// Change since `base` (an earlier snapshot of the same registry):
-    /// counters/gauges/reals subtract; a sample metric keeps the samples
-    /// appended after base's count. Metrics absent from base pass through.
-    [[nodiscard]] snapshot diff(const snapshot& base) const;
 
     /// The k_metric_profile-flagged (wall-clock) subset of this snapshot:
     /// what take_snapshot(true) added on top of the deterministic export.
@@ -235,9 +230,6 @@ public:
     /// skipped unless `include_profile` (they carry wall-clock noise and
     /// would break byte-identical exports).
     [[nodiscard]] snapshot take_snapshot(bool include_profile = false) const;
-
-    /// Zeroes every metric (between trials); handles stay bound.
-    void reset_values();
 
 private:
     detail::slot& slot_for(std::string name, metric_kind kind,

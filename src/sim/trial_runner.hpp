@@ -46,7 +46,7 @@ public:
 
     [[nodiscard]] unsigned threads() const { return threads_; }
 
-    /// Opt-in sweep profiling: every subsequent run()/for_each() adds its
+    /// Opt-in sweep profiling: every subsequent run() adds its
     /// wall time and trial count to profile-flagged counters in `reg`
     /// ("profile/sweep/runs", "profile/sweep/trials",
     /// "profile/sweep/wall_ns"). Callers derive cycles-per-wall-second
@@ -70,7 +70,8 @@ public:
         -> std::vector<std::invoke_result_t<Fn&, std::uint32_t>> {
         using result_type = std::invoke_result_t<Fn&, std::uint32_t>;
         static_assert(!std::is_void_v<result_type>,
-                      "use for_each for trial functions without results");
+                      "use for_each_trial for trial functions without "
+                      "results");
         std::vector<std::optional<result_type>> slots(n_trials);
         const obs::stopwatch sweep_watch;
         for_each_trial(n_trials, threads_,
@@ -80,14 +81,6 @@ public:
         out.reserve(n_trials);
         for (auto& slot : slots) out.push_back(std::move(*slot));
         return out;
-    }
-
-    /// Unordered fan-out without result collection (fn owns its sink).
-    void for_each(std::uint32_t n_trials,
-                  const std::function<void(std::uint32_t)>& fn) const {
-        const obs::stopwatch sweep_watch;
-        for_each_trial(n_trials, threads_, fn);
-        record_sweep(n_trials, sweep_watch.ns());
     }
 
 private:

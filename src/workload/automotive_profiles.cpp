@@ -48,7 +48,7 @@ constexpr profile k_function_profiles[] = {
 };
 
 compute_task from_profile(const profile& p, task_id_t id, cycle_t period,
-                          double util, double mem_scale = 1.0) {
+                          double util, double mem_scale) {
     compute_task t;
     t.name = p.name;
     t.id = id;
@@ -65,28 +65,7 @@ compute_task from_profile(const profile& p, task_id_t id, cycle_t period,
     return t;
 }
 
-compute_task_set fixed_profile_set(const profile* profiles,
-                                   std::size_t count) {
-    compute_task_set out;
-    for (std::size_t i = 0; i < count; ++i) {
-        // Representative defaults for standalone use: 10 ms-class period
-        // at a 200 MHz-class core quantized to interconnect cycles.
-        out.push_back(from_profile(profiles[i],
-                                   static_cast<task_id_t>(i + 1),
-                                   /*period=*/20'000, /*util=*/0.25));
-    }
-    return out;
-}
-
 } // namespace
-
-compute_task_set automotive_safety_tasks() {
-    return fixed_profile_set(k_safety_profiles, 10);
-}
-
-compute_task_set automotive_function_tasks() {
-    return fixed_profile_set(k_function_profiles, 10);
-}
 
 compute_task_set make_case_study_tasks(rng& gen,
                                        std::uint32_t n_processors,

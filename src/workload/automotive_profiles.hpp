@@ -16,12 +16,6 @@
 
 namespace bluescale::workload {
 
-/// The 10 safety tasks (CRC, RSA32, core self-test, ...).
-[[nodiscard]] compute_task_set automotive_safety_tasks();
-
-/// The 10 function tasks (FFT, speed calculation, ...).
-[[nodiscard]] compute_task_set automotive_function_tasks();
-
 /// All 20 case-study tasks with randomized periods (paper: "each task had
 /// a randomly defined period and implicit deadline, with overall
 /// processor utilization approximately 30%" across the task set).

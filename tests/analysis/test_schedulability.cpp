@@ -255,11 +255,15 @@ TEST(sufficient_portfolio, schedulable_verdicts_are_a_subset_of_exact) {
 }
 
 TEST(sufficient_portfolio, config_flag_delegates_to_the_portfolio) {
-    // sched_test_config::sufficient_only answers through the portfolio
-    // bit-for-bit -- the flag swaps tests, not semantics.
+    // sched_test_config::cheap_first answers through the portfolio
+    // bit-for-bit whenever the portfolio decides; only an undecided
+    // verdict falls through to the exact test.
     rng rnd(99);
-    sched_test_config degraded;
-    degraded.sufficient_only = true;
+    sched_test_stats stats;
+    sched_test_config ladder;
+    ladder.cheap_first = true;
+    ladder.stats = &stats;
+    std::uint64_t decided = 0;
     for (int trial = 0; trial < 60; ++trial) {
         task_set tasks;
         const int n = 1 + static_cast<int>(rnd.pick(3));
@@ -270,10 +274,18 @@ TEST(sufficient_portfolio, config_flag_delegates_to_the_portfolio) {
         }
         const std::uint64_t pi = 2 + rnd.uniform_u64(0, 14);
         const resource_interface iface{pi, 1 + rnd.uniform_u64(0, pi - 1)};
-        EXPECT_EQ(is_schedulable(tasks, iface, degraded),
-                  is_schedulable_sufficient(tasks, iface))
+        const auto quick = is_schedulable_sufficient(tasks, iface);
+        const std::uint64_t before = stats.ladder_cheap_decided;
+        const auto laddered = is_schedulable(tasks, iface, ladder);
+        EXPECT_EQ(stats.ladder_cheap_decided - before,
+                  quick != sched_result::aborted ? 1u : 0u)
             << "trial " << trial;
+        if (quick != sched_result::aborted) {
+            ++decided;
+            EXPECT_EQ(laddered, quick) << "trial " << trial;
+        }
     }
+    EXPECT_GT(decided, 0u);
 }
 
 TEST(schedulability_oracle, selection_results_survive_simulation) {

@@ -129,21 +129,29 @@ TEST(ladder_stats, cheap_decisions_and_fallbacks_are_counted) {
     EXPECT_EQ(stats.ladder_cheap_decided, 2u);
 }
 
-TEST(ladder_stats, sufficient_only_wins_over_cheap_first) {
-    // sufficient_only answers from the portfolio alone; cheap_first must
-    // not resurrect the exact test behind it.
-    sched_test_stats a_stats, b_stats;
-    sched_test_config a;
-    a.sufficient_only = true;
-    a.stats = &a_stats;
-    sched_test_config b = a;
-    b.cheap_first = true;
-    b.stats = &b_stats;
+TEST(ladder_stats, sufficient_probe_never_runs_the_exact_rung) {
+    // The portfolio alone answers from its own breakpoints, even on a
+    // cheap-first kernel: an undecided verdict stays undecided, and no
+    // ladder counter moves. Linear demand 0.2 * 80 exceeds the linear
+    // supply 0.25 * (80 - 30) at the second breakpoint.
+    sched_test_stats stats;
+    sched_test_config cfg;
+    cfg.cheap_first = true;
+    cfg.stats = &stats;
     const task_set tasks{{50, 5}, {80, 8}};
-    const resource_interface iface{20, 7};
-    EXPECT_EQ(is_schedulable(tasks, iface, a),
-              is_schedulable(tasks, iface, b));
-    EXPECT_EQ(a_stats, b_stats);
+    const resource_interface iface{20, 5};
+    const sched_kernel kernel(tasks, cfg);
+    EXPECT_EQ(kernel.sufficient(iface), sched_result::aborted);
+    EXPECT_EQ(is_schedulable_sufficient(tasks, iface),
+              sched_result::aborted);
+    EXPECT_EQ(stats.tests_run, 1u);
+    EXPECT_EQ(stats.points_checked, 2u);
+    EXPECT_EQ(stats.ladder_cheap_decided, 0u);
+    EXPECT_EQ(stats.ladder_exact_fallbacks, 0u);
+
+    // The ladder on the same kernel falls through to the exact test.
+    EXPECT_NE(kernel.test(iface), sched_result::aborted);
+    EXPECT_EQ(stats.ladder_exact_fallbacks, 1u);
 }
 
 } // namespace

@@ -22,8 +22,7 @@ mem_request req(request_id_t id, client_id_t client, cycle_t deadline,
 }
 
 struct rig {
-    explicit rig(std::uint32_t n, bluescale_config cfg = {})
-        : net(n, cfg) {
+    explicit rig(std::uint32_t n) : net(n) {
         net.attach_memory(mem);
         net.set_response_handler(
             [this](mem_request&& r) { completed.push_back(std::move(r)); });
@@ -123,8 +122,7 @@ TEST(bluescale_ic, configure_from_tree_selection) {
     const auto sel = analysis::select_tree_interfaces(clients);
     ASSERT_TRUE(sel.feasible);
 
-    bluescale_config cfg;
-    rig r(16, cfg);
+    rig r(16);
     r.net.configure(sel);
     // Every leaf port's server must carry the selected parameters.
     for (std::uint32_t y = 0; y < 4; ++y) {
@@ -193,9 +191,7 @@ TEST(bluescale_ic, reset_restores_clean_state) {
 }
 
 TEST(bluescale_ic, demux_response_network_routes_correctly) {
-    bluescale_config cfg;
-    cfg.responses = response_model::demux_network;
-    rig r(64, cfg);
+    rig r(64);
     for (client_id_t c = 0; c < 64; ++c) {
         r.net.client_push(c, req(5000 + c, c, 1'000'000, c * 4096));
     }
@@ -206,36 +202,10 @@ TEST(bluescale_ic, demux_response_network_routes_correctly) {
     }
 }
 
-TEST(bluescale_ic, ideal_and_demux_models_agree_at_low_rate) {
-    auto run_model = [](response_model model) {
-        bluescale_config cfg;
-        cfg.responses = model;
-        rig r(16, cfg);
-        std::uint64_t pushed = 0;
-        for (cycle_t now = 0; now < 4000; ++now) {
-            const client_id_t c = static_cast<client_id_t>(now / 64 % 16);
-            if (now % 64 == 0 && r.net.client_can_accept(c)) {
-                const std::uint64_t id = pushed++;
-                // detlint:allow(cycle-step): synthetic request deadline, not engine cadence
-                r.net.client_push(c, req(id, c, now + 100'000, id * 64));
-            }
-            r.sim.step();
-        }
-        r.run_until_drained();
-        return r.completed.size();
-    };
-    // Sparse traffic: the demux network has no contention, so both
-    // models deliver everything.
-    EXPECT_EQ(run_model(response_model::ideal_latency),
-              run_model(response_model::demux_network));
-}
-
 TEST(bluescale_ic, demux_network_serializes_response_bursts) {
     // All 16 clients' responses funnel through the root demux at one per
     // cycle: 16 simultaneous completions take >= 16 cycles to deliver.
-    bluescale_config cfg;
-    cfg.responses = response_model::demux_network;
-    rig r(16, cfg);
+    rig r(16);
     for (client_id_t c = 0; c < 16; ++c) {
         r.net.client_push(c, req(c, c, 1'000'000, c * 64));
     }

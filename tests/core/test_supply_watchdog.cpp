@@ -145,7 +145,6 @@ TEST(supply_watchdog, hard_miss_streak_sheds_best_effort_with_hysteresis) {
 TEST(supply_watchdog, stalled_backlogged_port_raises_supply_shortfall) {
     watchdog_config cfg;
     cfg.check_period = 2048; // long windows so sbf(window) > 0
-    cfg.shedding = false;    // observe-only: alarms without action
     rig r(cfg);
     // Client 0's leaf SE is stalled for the whole run while its port is
     // kept backlogged: delivered supply 0 < margin x sbf(window).
@@ -157,9 +156,11 @@ TEST(supply_watchdog, stalled_backlogged_port_raises_supply_shortfall) {
     EXPECT_GT(rep.windows_checked, 0u);
     EXPECT_GT(rep.violating_windows, 0u);
     EXPECT_GT(rep.supply_shortfall_alarms, 0u);
-    // The master switch is off: alarms never turn into shedding.
-    EXPECT_EQ(rep.shed_events, 0u);
-    EXPECT_FALSE(r.wd->shedding_now());
+    // The stall never lifts: the shortfall streak enters one shed episode
+    // and no clean window ever restores it.
+    EXPECT_EQ(rep.shed_events, 1u);
+    EXPECT_EQ(rep.restore_events, 0u);
+    EXPECT_TRUE(r.wd->shedding_now());
 }
 
 TEST(supply_watchdog, healthy_backlogged_port_conforms) {

@@ -133,11 +133,9 @@ struct deep_exports {
 
 /// One 256-client BlueScale trial (depth 4: 85 SEs and 258 simulator
 /// components, so both wake schedules span several 64-bit words) under
-/// an SE-stall + link-drop campaign, with the given response model.
-/// Assembled by hand because the testbench always builds the demux
-/// network.
-deep_exports run_deep_tree(simulator::engine engine,
-                           core::response_model responses) {
+/// an SE-stall + link-drop campaign. Assembled by hand to reach the
+/// fabric's SE and link fault hooks directly.
+deep_exports run_deep_tree(simulator::engine engine) {
     constexpr std::uint32_t n_clients = 256;
     constexpr cycle_t cycles = 12'000;
     rng workload_rng(29);
@@ -171,10 +169,9 @@ deep_exports run_deep_tree(simulator::engine engine,
     obs::registry reg;
     obs::trace_sink sink;
     memory_controller mem;
-    core::bluescale_config bs_cfg;
-    bs_cfg.se.unit_cycles = memctrl_config{}.initiation_interval;
-    bs_cfg.responses = responses;
-    core::bluescale_ic ic(n_clients, bs_cfg);
+    core::se_params se;
+    se.unit_cycles = memctrl_config{}.initiation_interval;
+    core::bluescale_ic ic(n_clients, se);
     ic.configure(selection);
     ic.inject_campaign(campaign);
     ic.attach_memory(mem);
@@ -188,7 +185,7 @@ deep_exports run_deep_tree(simulator::engine engine,
     }
     std::vector<std::unique_ptr<workload::traffic_generator>> clients;
     workload::traffic_gen_config tg_cfg;
-    tg_cfg.unit_cycles = bs_cfg.se.unit_cycles;
+    tg_cfg.unit_cycles = se.unit_cycles;
     tg_cfg.retry_timeout_cycles = 2048;
     tg_cfg.max_retries = 3;
     for (std::uint32_t c = 0; c < n_clients; ++c) {
@@ -230,24 +227,16 @@ deep_exports run_deep_tree(simulator::engine engine,
 }
 
 TEST(engine_equivalence, deep_tree_256_clients_bit_identical) {
-    for (const auto responses : {core::response_model::demux_network,
-                                 core::response_model::ideal_latency}) {
-        SCOPED_TRACE(responses == core::response_model::demux_network
-                         ? "demux_network"
-                         : "ideal_latency");
-        const deep_exports event =
-            run_deep_tree(simulator::engine::event, responses);
-        const deep_exports lockstep =
-            run_deep_tree(simulator::engine::lockstep, responses);
-        ASSERT_NE(event.csv.find("link_dropped,"), std::string::npos);
-        EXPECT_EQ(event.csv.find("stall_windows,0\n"), std::string::npos)
-            << "no SE stall window opened";
-        EXPECT_EQ(event.csv.find("link_dropped,0\n"), std::string::npos)
-            << "the campaign dropped nothing";
-        EXPECT_EQ(event.csv, lockstep.csv);
-        EXPECT_EQ(event.metrics, lockstep.metrics);
-        EXPECT_EQ(event.trace, lockstep.trace);
-    }
+    const deep_exports event = run_deep_tree(simulator::engine::event);
+    const deep_exports lockstep = run_deep_tree(simulator::engine::lockstep);
+    ASSERT_NE(event.csv.find("link_dropped,"), std::string::npos);
+    EXPECT_EQ(event.csv.find("stall_windows,0\n"), std::string::npos)
+        << "no SE stall window opened";
+    EXPECT_EQ(event.csv.find("link_dropped,0\n"), std::string::npos)
+        << "the campaign dropped nothing";
+    EXPECT_EQ(event.csv, lockstep.csv);
+    EXPECT_EQ(event.metrics, lockstep.metrics);
+    EXPECT_EQ(event.trace, lockstep.trace);
 }
 
 } // namespace

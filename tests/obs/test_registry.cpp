@@ -97,24 +97,6 @@ TEST(obs_registry, merge_sums_scalars_and_appends_samples_in_call_order) {
     EXPECT_DOUBLE_EQ(w[1], 2.0);
 }
 
-TEST(obs_registry, diff_subtracts_scalars_and_keeps_sample_tail) {
-    registry reg;
-    auto c = reg.make_counter("n");
-    auto s = reg.make_sample("w");
-    c.inc(10);
-    s.add(1.0);
-    const snapshot base = reg.take_snapshot();
-    c.inc(7);
-    s.add(2.0);
-    s.add(3.0);
-    const snapshot d = reg.take_snapshot().diff(base);
-    EXPECT_EQ(d.find("n")->count, 7u);
-    const auto& tail = d.find("w")->samples.samples();
-    ASSERT_EQ(tail.size(), 2u);
-    EXPECT_DOUBLE_EQ(tail[0], 2.0);
-    EXPECT_DOUBLE_EQ(tail[1], 3.0);
-}
-
 TEST(obs_registry, profile_metrics_stay_out_of_deterministic_snapshots) {
     registry reg;
     reg.make_counter("sim/ticks").inc(5);
@@ -127,20 +109,6 @@ TEST(obs_registry, profile_metrics_stay_out_of_deterministic_snapshots) {
     const snapshot prof = full.profile_only();
     ASSERT_EQ(prof.entries().size(), 1u);
     EXPECT_EQ(prof.entries().front().first, "profile/wall_ns");
-}
-
-TEST(obs_registry, reset_values_zeroes_but_keeps_bindings) {
-    registry reg;
-    auto c = reg.make_counter("n");
-    auto s = reg.make_sample("w");
-    c.inc(4);
-    s.add(1.5);
-    reg.reset_values();
-    EXPECT_TRUE(c.bound());
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(s.count(), 0u);
-    c.inc();
-    EXPECT_EQ(c.value(), 1u);
 }
 
 TEST(obs_registry, write_csv_is_deterministic_and_well_formed) {

@@ -77,12 +77,14 @@ TEST(trial_runner, serial_fallback_runs_in_index_order) {
 
 TEST(trial_runner, exception_propagates_to_caller) {
     const trial_runner runner(4);
-    EXPECT_THROW(
-        runner.for_each(32,
-                        [](std::uint32_t t) {
-                            if (t == 7) throw std::runtime_error("boom");
-                        }),
-        std::runtime_error);
+    EXPECT_THROW((void)runner.run(32,
+                                  [](std::uint32_t t) {
+                                      if (t == 7) {
+                                          throw std::runtime_error("boom");
+                                      }
+                                      return t;
+                                  }),
+                 std::runtime_error);
 }
 
 TEST(rng_substream, deterministic_and_distinct) {

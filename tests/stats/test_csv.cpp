@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "../test_util.hpp"
 #include "stats/csv.hpp"
 
 namespace bluescale::stats {
@@ -18,7 +19,7 @@ std::string read_file(const std::string& path) {
 
 class csv_test : public ::testing::Test {
 protected:
-    std::string path_ = ::testing::TempDir() + "csv_test_out.csv";
+    std::string path_ = bluescale::testing::temp_path_for_current_test(".csv");
     void TearDown() override { std::remove(path_.c_str()); }
 };
 

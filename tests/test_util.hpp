@@ -28,6 +28,16 @@ public:
     scoped_engine& operator=(const scoped_engine&) = delete;
 };
 
+/// A scratch file path unique to the running test ("<suite>.<name><ext>"
+/// under gtest's temp dir), so cases that ctest runs as parallel
+/// processes never share a file.
+inline std::string temp_path_for_current_test(const std::string& ext) {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + info->test_suite_name() + "." +
+           info->name() + ext;
+}
+
 /// A snapshot as the --metrics exporter writes it: byte comparison of
 /// two of these compares every metric, not a hand-picked subset.
 inline std::string snapshot_csv(const obs::snapshot& snap) {

@@ -138,17 +138,6 @@ TEST(automotive_profiles, twenty_case_study_tasks) {
     EXPECT_EQ(function, 10);
 }
 
-TEST(automotive_profiles, fixed_sets_have_ten_each) {
-    EXPECT_EQ(automotive_safety_tasks().size(), 10u);
-    EXPECT_EQ(automotive_function_tasks().size(), 10u);
-    for (const auto& t : automotive_safety_tasks()) {
-        EXPECT_EQ(t.category, task_category::safety);
-    }
-    for (const auto& t : automotive_function_tasks()) {
-        EXPECT_EQ(t.category, task_category::function);
-    }
-}
-
 TEST(automotive_profiles, interference_task_hits_target_utilization) {
     rng r(5);
     for (double u : {0.05, 0.1, 0.2}) {

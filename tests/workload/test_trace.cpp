@@ -21,7 +21,8 @@ trace make_trace() {
 }
 
 TEST(trace_io, round_trips_through_csv) {
-    const std::string path = ::testing::TempDir() + "trace_test.csv";
+    const std::string path =
+        bluescale::testing::temp_path_for_current_test(".csv");
     const trace original = make_trace();
     ASSERT_TRUE(save_trace(path, original));
     const trace loaded = load_trace(path);
