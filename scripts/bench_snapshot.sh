@@ -25,8 +25,9 @@
 # selection) regresses more than 25% against the committed snapshot, or
 # when a megascale work counter grows more than 25% over the committed
 # curve (compared at the depths the shallow --check run shares with the
-# snapshot). The full megascale refresh sweeps to depth 8/10 and takes
-# minutes; --check stays shallow.
+# snapshot). Both gates always run and print their verdicts; the script
+# exits 1 when either failed. The full megascale refresh sweeps to depth
+# 8/10 and takes minutes; --check stays shallow.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,7 +49,8 @@ trap 'rm -f "$raw"' EXIT
 "$build_dir/bench/micro_hotpaths" \
     --benchmark_out="$raw" --benchmark_out_format=json >/dev/null
 
-python3 - "$raw" "$snapshot" "$mode" <<'PY'
+micro_failed=0
+python3 - "$raw" "$snapshot" "$mode" <<'PY' || micro_failed=1
 import json
 import sys
 
@@ -135,7 +137,7 @@ if [[ "$mode" == "snapshot" ]]; then
     # Full curves: depth 8 timing, depth 10 feasibility, depth-4 parity.
     # Takes minutes; that is the price of the committed snapshot.
     "$build_dir/bench/megascale" --json "$mega_snapshot"
-    exit 0
+    exit "$micro_failed"
 fi
 
 mega_raw="$(mktemp)"
@@ -143,7 +145,8 @@ trap 'rm -f "$raw" "$mega_raw"' EXIT
 # The bench itself exits nonzero on a parity or determinism violation.
 "$build_dir/bench/megascale" --check --json "$mega_raw"
 
-python3 - "$mega_raw" "$mega_snapshot" <<'PY'
+mega_failed=0
+python3 - "$mega_raw" "$mega_snapshot" <<'PY' || mega_failed=1
 import json
 import sys
 
@@ -183,3 +186,9 @@ if failures:
     sys.exit(1)
 print("perf-smoke: megascale selection work within tolerance.")
 PY
+
+if (( micro_failed || mega_failed )); then
+    echo "perf-smoke: failed (micro gate failed=$micro_failed," \
+        "megascale gate failed=$mega_failed)"
+    exit 1
+fi

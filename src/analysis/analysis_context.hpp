@@ -40,7 +40,9 @@ struct analysis_context {
     /// and the optional sched_test_stats work counters.
     sched_test_config sched = {};
     /// Optional memoization of select_interface results, keyed on the
-    /// full inputs (task set + level utilization + analysis knobs). May
+    /// full input of the period search: the task set, its period bound
+    /// min(theorem2_max_period, max_period) -- the only way the level
+    /// utilization reaches the search -- and the other analysis knobs. May
     /// be shared across whole-tree selection, incremental reselection and
     /// the analysis service; nullptr disables caching. Selected
     /// interfaces and accumulated work counters are bit-identical with

@@ -60,14 +60,13 @@ min_budget_for_period(const task_set& tasks, std::uint64_t period,
 
 namespace {
 
+/// The search proper. `pi_max` is the period bound select_interface
+/// derives from the level utilization -- the only way that utilization
+/// reaches the search, which is what lets the selection cache key on it.
 std::optional<resource_interface>
-select_interface_uncached(const task_set& tasks, double level_utilization,
+select_interface_uncached(const task_set& tasks, std::uint64_t pi_max,
                           const analysis_context& ctx) {
     if (tasks.empty()) return resource_interface{0, 0};
-
-    const std::uint64_t pi_max =
-        std::min(theorem2_max_period(tasks, level_utilization),
-                 ctx.max_period);
     if (pi_max == 0) return std::nullopt;
 
     // Prepared once: every probe below tests this task set.
@@ -122,11 +121,13 @@ select_interface_uncached(const task_set& tasks, double level_utilization,
 std::optional<resource_interface>
 select_interface(const task_set& tasks, double level_utilization,
                  const analysis_context& ctx) {
+    const std::uint64_t pi_max = std::min(
+        theorem2_max_period(tasks, level_utilization), ctx.max_period);
     if (ctx.cache == nullptr) {
-        return select_interface_uncached(tasks, level_utilization, ctx);
+        return select_interface_uncached(tasks, pi_max, ctx);
     }
 
-    const selection_key key = make_selection_key(tasks, level_utilization, ctx);
+    const selection_key key = make_selection_key(tasks, pi_max, ctx);
     if (auto hit = ctx.cache->lookup(key)) {
         if (ctx.sched.stats != nullptr) {
             ++ctx.sched.stats->cache_hits;
@@ -141,8 +142,7 @@ select_interface(const task_set& tasks, double level_utilization,
     analysis_context local = ctx;
     local.cache = nullptr;
     local.sched.stats = &work;
-    const auto iface = select_interface_uncached(tasks, level_utilization,
-                                                 local);
+    const auto iface = select_interface_uncached(tasks, pi_max, local);
     ctx.cache->insert(key, selection_entry{iface, work});
     if (ctx.sched.stats != nullptr) {
         ++ctx.sched.stats->cache_misses;

@@ -20,6 +20,10 @@ namespace bluescale::analysis {
 /// bound is vacuous and min period is returned (a larger Pi cannot reduce
 /// bandwidth below what some Pi <= min T_i achieves, since the supply
 /// blackout 2(Pi - Theta) must stay under the smallest period).
+///
+/// The result never exceeds t_min = min T_i, and it equals t_min whenever
+/// the level slack U_level - U_X is at most 0.5: the level utilization
+/// changes the bound only when slack > 0.5.
 [[nodiscard]] std::uint64_t theorem2_max_period(const task_set& tasks,
                                                 double level_utilization);
 
@@ -37,10 +41,13 @@ min_budget_for_period(const task_set& tasks, std::uint64_t period,
 ///
 /// An empty task set yields the null interface {0, 0} (bandwidth 0).
 ///
+/// The level utilization enters only through the search's period bound
+/// min(theorem2_max_period(tasks, level_utilization), ctx.max_period).
 /// With ctx.cache set, the result (and the sched_test_stats work the
 /// computation performed, replayed into ctx.sched.stats on a hit) is
-/// memoized on the full inputs -- see selection_cache.hpp for why no
-/// invalidation is needed and why the result is bit-identical either way.
+/// memoized on that bound, the task set and the other knobs -- see
+/// selection_cache.hpp for why the key is exact, why no invalidation is
+/// needed and why the result is bit-identical either way.
 [[nodiscard]] std::optional<resource_interface>
 select_interface(const task_set& tasks, double level_utilization,
                  const analysis_context& ctx = {});

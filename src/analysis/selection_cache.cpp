@@ -29,20 +29,19 @@ std::uint64_t selection_key_hash(const selection_key& key) {
         h = fnv_mix(h, t.period);
         h = fnv_mix(h, t.wcet);
     }
-    h = fnv_mix(h, key.u_level_bits);
+    h = fnv_mix(h, key.period_bound);
     h = fnv_mix(h, key.knobs);
     return h;
 }
 
 selection_key make_selection_key(const task_set& tasks,
-                                 double level_utilization,
+                                 std::uint64_t period_bound,
                                  const analysis_context& ctx) {
     selection_key key;
     key.tasks = tasks;
-    key.u_level_bits = std::bit_cast<std::uint64_t>(level_utilization);
+    key.period_bound = period_bound;
 
     std::uint64_t k = k_fnv_offset;
-    k = fnv_mix(k, ctx.max_period);
     k = fnv_mix(k, std::bit_cast<std::uint64_t>(ctx.bandwidth_tolerance));
     k = fnv_mix(k, ctx.sched.max_test_points);
     k = fnv_mix(k, static_cast<std::uint64_t>(ctx.sched.cheap_first));

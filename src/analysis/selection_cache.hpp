@@ -1,15 +1,24 @@
 // Memoization of select_interface() results (ROADMAP item 2).
 //
-// select_interface is a pure function of (task set, level utilization,
-// analysis knobs), so a cache keyed on the FULL inputs needs no
-// invalidation protocol: an entry can never go stale, only unused. Keys
-// compare by value -- the task vector itself, not just a hash -- so a
-// hash collision cannot silently substitute another subtree's interface;
-// the hash only picks the bucket. Each entry also stores the
-// sched_test_stats the original computation performed, and a hit replays
-// those counters into the caller's stats, keeping the accumulated work
-// totals (and therefore core::parameter_path's modeled selection
-// latency) bit-identical with the cache on or off.
+// select_interface reads the level utilization only through the period
+// bound of its search, pi_max = min(theorem2_max_period(tasks, U_level),
+// max_period), so the result is a pure function of (task set, pi_max,
+// the other analysis knobs). The key holds exactly those inputs: it is
+// built from the same pi_max value the search then runs on, so key and
+// search cannot drift apart. Keying on the bound rather than on U_level
+// is what makes the cache pay off under admission: the bound never
+// exceeds the minimum task period t_min and equals it whenever the
+// level slack U_level - U(tasks) is at most 0.5, so an update elsewhere
+// in the level moves U_level but rarely the bound, and the untouched
+// ports re-hit. Because the key is the search's full input, the cache
+// needs no invalidation protocol: an entry can never go stale, only
+// unused. Keys compare by value -- the task vector itself, not just a
+// hash -- so a hash collision cannot silently substitute another
+// subtree's interface; the hash only picks the bucket. Each entry also
+// stores the sched_test_stats the original computation performed, and a
+// hit replays those counters into the caller's stats, keeping the
+// accumulated work totals (and therefore core::parameter_path's modeled
+// selection latency) bit-identical with the cache on or off.
 //
 // Thread safety: the map is sharded 16 ways by key hash with one mutex
 // per shard, sized for the deterministic parallel tree selection where
@@ -33,14 +42,13 @@ namespace bluescale::analysis {
 
 struct analysis_context;
 
-/// Full-input identity of one select_interface() call. `u_level_bits` is
-/// the raw bit pattern of the level-utilization double (exact equality,
-/// no epsilon -- a different bit pattern may legitimately select a
-/// different interface). `knobs` fingerprints every analysis_context
+/// Full-input identity of one select_interface() call's search.
+/// `period_bound` is the search's pi_max (which already folds in
+/// ctx.max_period); `knobs` fingerprints every other analysis_context
 /// field that can influence the result.
 struct selection_key {
     task_set tasks;
-    std::uint64_t u_level_bits = 0;
+    std::uint64_t period_bound = 0;
     std::uint64_t knobs = 0;
 
     friend bool operator==(const selection_key&,
@@ -51,12 +59,13 @@ struct selection_key {
 /// is by value).
 [[nodiscard]] std::uint64_t selection_key_hash(const selection_key& key);
 
-/// Builds the cache key for one select_interface(tasks, u_level, ctx)
-/// call, fingerprinting every knob of `ctx` that can change the result
-/// (max_period, bandwidth_tolerance, the sched test mode and work cap,
-/// and the maintenance model).
+/// Builds the cache key for a search over periods 1..`period_bound` of
+/// `tasks`, fingerprinting every other knob of `ctx` that can change the
+/// result (bandwidth_tolerance, the sched test mode and work cap, and the
+/// maintenance model). ctx.max_period is not fingerprinted: it reaches
+/// the search only through `period_bound`.
 [[nodiscard]] selection_key make_selection_key(const task_set& tasks,
-                                               double level_utilization,
+                                               std::uint64_t period_bound,
                                                const analysis_context& ctx);
 
 /// One memoized result: the selected interface (nullopt == infeasible is

@@ -6,7 +6,7 @@
 // analysis_context::threads > 1 the per-SE selections of one level run in
 // parallel (sibling subtrees are independent below the root bandwidth
 // check) under the trial_runner-style ordered-merge discipline, and with
-// a selection_cache attached identical (task set, level context) subtree
+// a selection_cache attached identical (task set, period bound) subtree
 // profiles are resolved once. Both are bit-identical to the serial,
 // uncached selection.
 #pragma once

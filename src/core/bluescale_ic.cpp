@@ -102,13 +102,15 @@ void bluescale_ic::inject_campaign(const sim::fault_campaign& campaign) {
 }
 
 void bluescale_ic::bind_observability(obs::registry& reg,
-                                      obs::trace_sink& sink) {
+                                      obs::trace_sink* sink) {
     for (std::uint32_t l = 0; l <= shape_.leaf_level; ++l) {
         for (std::uint32_t y = 0; y < shape_.ses_at_level(l); ++y) {
             const std::string prefix =
                 "se." + std::to_string(l) + "." + std::to_string(y);
             levels_[l][y]->bind_observability(
-                reg, prefix, sink.register_component(prefix));
+                reg, prefix,
+                sink != nullptr ? sink->register_component(prefix)
+                                : obs::tracer{});
         }
     }
 }

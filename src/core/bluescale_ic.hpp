@@ -62,9 +62,10 @@ public:
     void set_selective_ticking(bool on) { selective_ = on; }
 
     /// Re-homes every SE's counters into `reg` ("se.<level>.<order>/...")
-    /// and registers one trace stream per element; call before the trial
+    /// and registers one trace stream per element on `sink` (nullptr
+    /// leaves the elements' tracers unbound); call before the trial
     /// starts.
-    void bind_observability(obs::registry& reg, obs::trace_sink& sink);
+    void bind_observability(obs::registry& reg, obs::trace_sink* sink);
 
     /// Distributes a campaign over the fabric: se_stall events go to the
     /// targeted SE's stall window, link_drop events to the targeted SE's

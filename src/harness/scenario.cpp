@@ -307,6 +307,7 @@ trial_output run_trial(ic_kind kind, const scenario& s, std::uint32_t trial,
     opts.health = s.health;
     opts.watchdog = s.watchdog;
     opts.reconfig = s.reconfig;
+    opts.trace = s.collect_trace && trial == 0;
     if (s.maintenance_aware) {
         const auto model = to_maintenance_model(s.memctrl);
         opts.selection.sched.maintenance = model;
@@ -352,7 +353,7 @@ trial_output run_trial(ic_kind kind, const scenario& s, std::uint32_t trial,
         scfg.seed = substream(trial_seed, 0x5E17ull);
         service.emplace(*mgr, scfg);
         service->bind_observability(
-            tb.metrics(), tb.trace().register_component("analysis_service"));
+            tb.metrics(), tb.tracer("analysis_service"));
         tb.sim().add(*service);
         if (s.service->worker_fault_intensity > 0.0) {
             // Worker faults only: every fabric kind's weight is zeroed.

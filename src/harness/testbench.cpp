@@ -7,6 +7,7 @@ namespace bluescale::harness {
 testbench::testbench(ic_kind kind, const testbench_options& opts)
     : kind_(kind),
       unit_cycles_(opts.memctrl.initiation_interval),
+      tracing_(opts.trace),
       mem_(opts.memctrl),
       sinks_(opts.n_clients) {
     ic_build_options build;
@@ -39,10 +40,10 @@ testbench::testbench(ic_kind kind, const testbench_options& opts)
         ic_->inject_campaign(*opts.faults);
         mem_.inject_campaign(*opts.faults);
     }
-    mem_.bind_observability(reg_, trace_.register_component("mem"));
-    sim_.bind_trace(trace_);
+    mem_.bind_observability(reg_, tracer("mem"));
+    if (tracing_) sim_.bind_trace(trace_);
     if (auto* bs = dynamic_cast<core::bluescale_ic*>(ic_.get())) {
-        bs->bind_observability(reg_, trace_);
+        bs->bind_observability(reg_, tracing_ ? &trace_ : nullptr);
         // Under the lockstep fallback the fabric's internal SE walk is
         // forced to tick everything too, so BLUESCALE_LOCKSTEP is a true
         // end-to-end tick-every-cycle reference.
@@ -55,13 +56,13 @@ testbench::testbench(ic_kind kind, const testbench_options& opts)
             monitor_ =
                 std::make_unique<core::health_monitor>(*bs, *opts.health);
             monitor_->bind_observability(
-                reg_, trace_.register_component("health"));
+                reg_, tracer("health"));
         }
         if (opts.reconfig.has_value() && opts.rt_sets != nullptr) {
             reconfig_ = std::make_unique<core::reconfig_manager>(
                 *bs, selection_, *opts.rt_sets, *opts.reconfig);
             reconfig_->bind_observability(
-                reg_, trace_.register_component("reconfig"));
+                reg_, tracer("reconfig"));
         }
         if (opts.watchdog.has_value()) {
             // The watchdog polices whatever selection is live: the
@@ -72,7 +73,7 @@ testbench::testbench(ic_kind kind, const testbench_options& opts)
             watchdog_ = std::make_unique<core::supply_watchdog>(
                 *bs, live, *opts.watchdog);
             watchdog_->bind_observability(
-                reg_, trace_.register_component("watchdog"));
+                reg_, tracer("watchdog"));
             if (reconfig_) {
                 watchdog_->set_donate_hook(
                     [this](std::uint32_t client, bool shed) {
@@ -85,6 +86,10 @@ testbench::testbench(ic_kind kind, const testbench_options& opts)
             }
         }
     }
+}
+
+obs::tracer testbench::tracer(const std::string& name) {
+    return tracing_ ? trace_.register_component(name) : obs::tracer{};
 }
 
 void testbench::add_client(client_id_t id, component& c,

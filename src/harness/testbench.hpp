@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/tree_analysis.hpp"
@@ -72,6 +73,11 @@ struct testbench_options {
     /// sheds best-effort clients under sustained overload. Ignored for
     /// the baseline interconnects.
     std::optional<core::watchdog_config> watchdog;
+    /// Record the event trace: bind every component's tracer to the
+    /// testbench's sink. Off (the default), tracers stay unbound -- each
+    /// emit() is one branch and the sink stays empty -- so only a trial
+    /// whose trace is exported pays for recording it.
+    bool trace = false;
 };
 
 class testbench {
@@ -95,8 +101,13 @@ public:
     /// experiments bind their clients too, then snapshot after the run.
     [[nodiscard]] obs::registry& metrics() { return reg_; }
     /// The trial's event-trace sink (no-op stub when the build has
-    /// BLUESCALE_TRACE=OFF). The simulator drives its clock.
+    /// BLUESCALE_TRACE=OFF). The simulator drives its clock. Empty unless
+    /// testbench_options::trace was set.
     [[nodiscard]] obs::trace_sink& trace() { return trace_; }
+    /// An emit handle on the sink for component `name`, or an unbound
+    /// one when testbench_options::trace is off; for components the
+    /// experiment adds itself.
+    [[nodiscard]] obs::tracer tracer(const std::string& name);
 
     /// The resolved interface selection (BlueScale only; infeasible /
     /// empty otherwise).
@@ -155,6 +166,7 @@ private:
     /// construction outlive every consumer.
     obs::registry reg_;
     obs::trace_sink trace_;
+    bool tracing_;
     analysis::tree_selection selection_;
     std::unique_ptr<interconnect> ic_;
     std::unique_ptr<core::health_monitor> monitor_;

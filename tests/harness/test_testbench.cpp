@@ -17,7 +17,7 @@ struct rig {
 };
 
 rig make_rig(ic_kind kind, std::uint32_t n_clients, std::uint64_t seed,
-             bool with_selection = false) {
+             bool with_selection = false, bool trace = false) {
     rig r;
     rng rnd(seed);
     r.tasksets =
@@ -25,6 +25,7 @@ rig make_rig(ic_kind kind, std::uint32_t n_clients, std::uint64_t seed,
 
     testbench_options opts;
     opts.n_clients = n_clients;
+    opts.trace = trace;
     for (const auto& ts : r.tasksets) {
         opts.client_utilizations.push_back(workload::utilization(ts));
     }
@@ -111,6 +112,27 @@ TEST(testbench, se_override_builds_bluescale_variant) {
     tb.run(5'000);
     client.finalize(tb.now());
     EXPECT_GT(client.stats().completed(), 0u);
+}
+
+TEST(testbench, records_the_trace_only_when_asked) {
+    auto quiet = make_rig(ic_kind::bluescale, 16, 53, true);
+    auto traced = make_rig(ic_kind::bluescale, 16, 53, true, true);
+    quiet.tb->run(5'000);
+    traced.tb->run(5'000);
+
+    const auto silent = quiet.tb->trace().export_all();
+    EXPECT_TRUE(silent.events.empty());
+    EXPECT_TRUE(silent.components.empty());
+#if BLUESCALE_TRACE_ENABLED
+    EXPECT_FALSE(traced.tb->trace().export_all().events.empty());
+#endif
+    // Recording is observation only: the clients see the same run.
+    for (std::uint32_t c = 0; c < 16; ++c) {
+        quiet.clients[c]->finalize(quiet.tb->now());
+        traced.clients[c]->finalize(traced.tb->now());
+        EXPECT_EQ(quiet.clients[c]->stats().completed(),
+                  traced.clients[c]->stats().completed());
+    }
 }
 
 TEST(testbench, run_accumulates_cycles) {

@@ -175,7 +175,7 @@ deep_exports run_deep_tree(simulator::engine engine) {
     ic.configure(selection);
     ic.inject_campaign(campaign);
     ic.attach_memory(mem);
-    ic.bind_observability(reg, sink);
+    ic.bind_observability(reg, &sink);
     mem.bind_observability(reg, sink.register_component("mem"));
 
     simulator sim(engine);
