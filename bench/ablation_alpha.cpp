@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, "Ablation A1: BlueTree blocking factor alpha");
+        argc, argv, defaults, "Ablation A1: BlueTree blocking factor alpha",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts, {"config", "blocking_us", "worst_us", "miss_ratio"});

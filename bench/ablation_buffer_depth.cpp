@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        "Ablation A2: BlueScale random-access-buffer depth");
+        "Ablation A2: BlueScale random-access-buffer depth",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts, {"buffer_depth", "blocking_us", "worst_us", "miss_ratio"});

@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
     harness::bench_options defaults;
     defaults.measure_cycles = 40'000;
     const auto opts = harness::parse_bench_cli(
-        argc, argv, defaults, "Ablation A7: Meshed BlueScale channel count");
+        argc, argv, defaults, "Ablation A7: Meshed BlueScale channel count",
+        harness::flag_cycles | harness::flag_lockstep);
     const cycle_t cycles = opts.measure_cycles;
     constexpr std::uint32_t n_clients = 16;
 

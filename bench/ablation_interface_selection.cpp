@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
     harness::bench_options defaults;
     defaults.trials = 10;
     const auto opts = harness::parse_bench_cli(
-        argc, argv, defaults, "Ablation A3: interface selection cost/quality");
+        argc, argv, defaults, "Ablation A3: interface selection cost/quality",
+        harness::flag_trials | harness::flag_threads);
     const sim::trial_runner runner(opts.threads);
 
     std::printf("Ablation A3: interface selection cost/quality "

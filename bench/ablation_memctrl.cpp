@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        "Ablation A4: memory controller policy x interconnect");
+        "Ablation A4: memory controller policy x interconnect",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts, {"table", "design", "setting", "blocking_us", "worst_us",

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, "Ablation A5: SE server-task policy");
+        argc, argv, defaults, "Ablation A5: SE server-task policy",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts, {"variant", "blocking_us", "worst_us", "miss_ratio"});

@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
     defaults.trials = 20;
     const auto opts = harness::parse_bench_cli(
         argc, argv, defaults,
-        "Acceptance ratio of the whole-tree interface selection");
+        "Acceptance ratio of the whole-tree interface selection",
+        harness::flag_trials | harness::flag_threads);
     const sim::trial_runner runner(opts.threads);
 
     std::printf("Acceptance ratio of the whole-tree interface selection "

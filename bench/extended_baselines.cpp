@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        "Extended baselines: the paper's six plus AXI-HyperConnect");
+        "Extended baselines: the paper's six plus AXI-HyperConnect",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts, {"design", "blocking_us", "worst_us", "miss_ratio"});

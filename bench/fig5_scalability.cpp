@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
     harness::bench_options defaults;
     const auto opts = harness::parse_bench_cli(
         argc, argv, defaults,
-        "Fig. 5 reproduction: area / power / fmax vs scaling factor");
+        "Fig. 5 reproduction: area / power / fmax vs scaling factor",
+        harness::flag_csv);
     const auto csv = harness::open_bench_csv(
         opts, {"metric", "eta", "clients", "legacy", "axi_icrt",
                "bluescale", "legacy_axi", "legacy_bluescale"});

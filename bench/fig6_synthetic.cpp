@@ -105,7 +105,8 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 100'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        "Fig. 6 reproduction: blocking latency and deadline miss ratio");
+        "Fig. 6 reproduction: blocking latency and deadline miss ratio",
+        k_sweep_flags | flag_profile);
 
     const auto csv = open_bench_csv(
         opts, {"clients", "design", "blocking_us", "blocking_sd",

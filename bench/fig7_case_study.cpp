@@ -65,7 +65,9 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        "Fig. 7 reproduction: case-study success ratio");
+        "Fig. 7 reproduction: case-study success ratio",
+        flag_trials | flag_cycles | flag_threads | flag_seed | flag_csv |
+            flag_lockstep);
 
     const auto csv = open_bench_csv(
         opts, {"processors", "design", "target_utilization",

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
     harness::bench_options defaults;
     defaults.measure_cycles = 80'000;
     const auto opts = harness::parse_bench_cli(
-        argc, argv, defaults, "Per-level queueing breakdown inside BlueScale");
+        argc, argv, defaults, "Per-level queueing breakdown inside BlueScale",
+        harness::flag_cycles | harness::flag_lockstep);
     const cycle_t cycles = opts.measure_cycles;
     constexpr std::uint32_t n_clients = 64;
 

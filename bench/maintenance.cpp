@@ -178,7 +178,8 @@ int main(int argc, char** argv) {
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Maintenance: deadline misses and watchdog alarms under DRAM "
-        "refresh/scrub/RowHammer interference");
+        "refresh/scrub/RowHammer interference",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts, {"mode", "t_refi", "scrub_interval", "hammer_threshold",

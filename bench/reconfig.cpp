@@ -112,7 +112,8 @@ int main(int argc, char** argv) {
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Reconfig: online admission control, transactional (Pi, Theta) "
-        "reconfiguration and overload shedding");
+        "reconfiguration and overload shedding",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts,

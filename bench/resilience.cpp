@@ -125,7 +125,8 @@ int main(int argc, char** argv) {
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Resilience: deadline misses and latency inflation under "
-        "fault-injection campaigns");
+        "fault-injection campaigns",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts,

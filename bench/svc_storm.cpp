@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Svc storm: bounded-queue multi-worker admission service under "
-        "overload, worker faults and path hazards");
+        "overload, worker faults and path hazards",
+        k_sweep_flags);
 
     const auto csv = open_bench_csv(
         opts,

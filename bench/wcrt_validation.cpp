@@ -120,7 +120,9 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 80'000;
     const auto opts = harness::parse_bench_cli(
         argc, argv, defaults,
-        "Analysis validation: feasible selection => zero misses");
+        "Analysis validation: feasible selection => zero misses",
+        harness::flag_trials | harness::flag_cycles | harness::flag_threads |
+            harness::flag_lockstep);
     const sim::trial_runner runner(opts.threads);
 
     std::printf("Analysis validation: feasible interface selection => "

@@ -36,6 +36,9 @@ std::vector<std::uint64_t> dbf_step_points(const task_set& tasks,
         if (task.period == 0 || task.wcet == 0) continue;
         for (std::uint64_t t = task.period; t <= horizon; t += task.period) {
             points.push_back(t);
+            // The next multiple lies past the horizon; near 2^64 adding
+            // the period would wrap.
+            if (horizon - t < task.period) break;
         }
     }
     std::sort(points.begin(), points.end());

@@ -20,42 +20,10 @@ std::uint64_t theorem2_max_period(const task_set& tasks,
     return static_cast<std::uint64_t>(std::floor(bound));
 }
 
-namespace {
-
-/// min_budget_for_period on a prepared test (a non-empty task set and a
-/// nonzero period).
-std::optional<std::uint64_t> min_budget(const sched_kernel& kernel,
-                                        std::uint64_t period) {
-    // Theta/Pi > U is necessary (Theorem 1's precondition).
-    auto lo = static_cast<std::uint64_t>(std::floor(
-                  kernel.utilization() * static_cast<double>(period))) +
-              1;
-    if (lo > period) return std::nullopt;
-
-    if (kernel.test({period, period}) != sched_result::schedulable) {
-        return std::nullopt;
-    }
-
-    std::uint64_t hi = period; // known schedulable
-    while (lo < hi) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        if (kernel.test({period, mid}) == sched_result::schedulable) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    return hi;
-}
-
-} // namespace
-
 std::optional<std::uint64_t>
 min_budget_for_period(const task_set& tasks, std::uint64_t period,
                       const analysis_context& ctx) {
-    if (period == 0) return std::nullopt;
-    if (tasks.empty()) return 0;
-    return min_budget(sched_kernel(tasks, ctx.sched), period);
+    return sched_kernel(tasks, ctx.sched).min_budget(period);
 }
 
 namespace {
@@ -89,7 +57,7 @@ select_interface_uncached(const task_set& tasks, std::uint64_t pi_max,
             static_cast<double>(theta_floor) / static_cast<double>(pi);
         if (bw_floor >= best_bw * (1.0 + tol) + 1e-12) continue;
 
-        const auto theta = min_budget(kernel, pi);
+        const auto theta = kernel.min_budget(pi);
         if (!theta) continue;
         const resource_interface candidate{pi, *theta};
         candidates.push_back(candidate);

@@ -2,7 +2,9 @@
 // (paper Sec. 5, Theorem 1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/demand_bound.hpp"
@@ -87,19 +89,34 @@ struct sched_test_config {
 /// selection probes O(Pi_max log Pi_max) of them per task set).
 ///
 /// Prepare (the constructor): the set's utilization (summed in task
-/// order, bit-identical to utilization()), its minimum active period, the
-/// maintenance model's mu and burst, and -- only when `cfg` runs the
-/// sufficient rung, in O(n log n) and the kernel's only allocation -- that
-/// rung's breakpoints: at each distinct period, the cumulative utilization
-/// of every task with that period or a shorter one.
+/// order, bit-identical to utilization()), its minimum active period and
+/// active-task count (active: T_i, C_i > 0), the point cap per active
+/// task, the maintenance model's 1 - mu, burst (as a double) and
+/// emptiness, and -- only when `cfg` runs the sufficient rung, in
+/// O(n log n) -- that rung's breakpoints: at each distinct period, the
+/// cumulative utilization of every task with that period or a shorter
+/// one. A set with more active tasks than the walk keeps on the stack
+/// also gets its walk cursors here. Nothing else allocates.
 ///
-/// Test (test(), allocation-free): verdicts and sched_test_stats counts
-/// are exactly those of the unprepared enumeration, because the counts
-/// are model outputs -- they price the hardware selector's
-/// reconfiguration latency (core::interface_selector,
-/// core::parameter_path).
+/// Probe (test(), allocation-free), one fused pass:
+///  1. the necessary filters, once for both rungs: the integer blackout
+///     filter, then the bandwidth bw and the Theorem 1 bound beta from
+///     the prepared terms;
+///  2. with cheap_first, the sufficient portfolio's horizon collapse and
+///     linear checks (see is_schedulable_sufficient);
+///  3. the exact rung: "schedulable" outright when the horizon lies below
+///     the minimum period; the point cap (one division while n times
+///     floor(horizon / T_min) is within it); then an ascending walk of the
+///     dbf step points that keeps each task's next multiple, so no point
+///     divides, and evaluates the supply without a division while
+///     t - (Pi - Theta) < Pi.
+/// Verdicts and sched_test_stats counts are exactly those of the
+/// unprepared sufficient-then-exact sequence, because the counts are model
+/// outputs -- they price the hardware selector's reconfiguration latency
+/// (core::interface_selector, core::parameter_path).
 ///
-/// The kernel refers to `tasks` and `cfg`, which must outlive it.
+/// The kernel refers to `tasks` and `cfg`, which must outlive it. A probe
+/// may use the prepared walk cursors, so one kernel serves one thread.
 class sched_kernel {
 public:
     sched_kernel(const task_set& tasks, const sched_test_config& cfg);
@@ -117,6 +134,13 @@ public:
     [[nodiscard]] sched_result
     sufficient(const resource_interface& iface) const;
 
+    /// The smallest budget Theta for which test({period, Theta}) is
+    /// schedulable, by binary search (schedulability is monotone in
+    /// Theta), or nullopt when even Theta == period is not; 0 for an
+    /// empty task set. See min_budget_for_period.
+    [[nodiscard]] std::optional<std::uint64_t>
+    min_budget(std::uint64_t period) const;
+
     /// utilization(tasks), computed once.
     [[nodiscard]] double utilization() const { return u_; }
 
@@ -125,17 +149,58 @@ private:
         std::uint64_t period;
         double u_acc; ///< utilization of every task with T_i <= period
     };
+    /// One active task on the exact rung's walk.
+    struct cursor {
+        std::uint64_t period;
+        std::uint64_t wcet;
+        std::uint64_t next; ///< its smallest multiple not yet walked
+    };
+    /// Active tasks the walk keeps in a stack array; more spill into
+    /// cursors_, prepared once.
+    static constexpr std::size_t k_stack_cursors = 8;
 
-    [[nodiscard]] sched_result exact(const resource_interface& iface) const;
-    [[nodiscard]] bool fails_necessary(const resource_interface& iface) const;
+    // The probe's parts. Inline, and defined in schedulability.cpp, the
+    // only translation unit that calls them: test() and min_budget's
+    // search each get the whole probe without a call.
+
+    /// test()'s body.
+    [[nodiscard]] inline sched_result
+    probe(const resource_interface& iface) const;
+    /// What the filters compute and both rungs reuse.
+    struct theorem1_terms {
+        double bw = 0.0;   ///< Theta / Pi
+        double beta = 0.0; ///< maintenance_beta(iface, U, maintenance)
+    };
+    /// The necessary filters shared by both rungs: true when one proves
+    /// `iface` unschedulable; otherwise fills `terms`.
+    [[nodiscard]] inline bool fails_necessary(const resource_interface& iface,
+                                              theorem1_terms& terms) const;
+    /// The portfolio's horizon collapse and linear checks, past the
+    /// filters; `aborted` when undecided.
+    [[nodiscard]] inline sched_result
+    linear(const resource_interface& iface,
+           const theorem1_terms& terms) const;
+    /// The exact rung past the filters.
+    [[nodiscard]] inline sched_result
+    walk(const resource_interface& iface, const theorem1_terms& terms) const;
+    /// maintenance_sbf(t, iface, cfg.maintenance), with no division while
+    /// t - (Pi - Theta) < Pi.
+    [[nodiscard]] inline std::uint64_t
+    supply(std::uint64_t t, const resource_interface& iface) const;
 
     const task_set& tasks_;
     const sched_test_config& cfg_;
     double u_;
-    double mu_;
-    std::uint64_t burst_;
-    std::uint64_t min_period_ = 0; ///< over tasks with T_i, C_i > 0
+    double one_minus_mu_;
+    double burst_;
+    bool no_maintenance_;
+    std::uint64_t min_period_ = 0; ///< over the active tasks
+    std::size_t n_active_ = 0;
+    /// max_test_points / n_active_: a walk of at most this many points
+    /// per task cannot exceed the cap.
+    std::uint64_t cap_per_task_ = 0;
     std::vector<breakpoint> breakpoints_;
+    mutable std::vector<cursor> cursors_; ///< only past k_stack_cursors
 };
 
 /// Checks dbf(t, tasks) <= sbf(t, iface) for all t < beta (sufficient by

@@ -14,38 +14,68 @@ namespace bluescale::harness {
 namespace {
 
 [[noreturn]] void usage_and_exit(const char* argv0, const char* what,
-                                 const bench_options& defaults, int code) {
-    std::fprintf(
-        stderr,
-        "%s -- %s\n"
-        "usage: %s [--trials N] [--cycles N] [--threads N] [--seed N]"
-        " [--csv PATH] [--metrics PATH] [--trace PATH] [--profile]"
-        " [--lockstep]\n"
-        "  --trials N     trials per configuration (default %u)\n"
-        "  --cycles N     simulated cycles per trial (default %llu)\n"
-        "  --threads N    worker threads for the trial sweep; 0 = all cores"
-        " (default %u)\n"
-        "  --seed N       base RNG seed (default %llu)\n"
-        "  --csv PATH     also write machine-readable rows to PATH\n"
-        "  --metrics PATH write the merged obs metrics snapshot (CSV)\n"
-        "  --trace PATH   write the trial-0 event trace (.json = Chrome"
-        " trace JSON, else CSV)\n"
-        "  --profile      report simulator wall-clock profile after the"
-        " run\n"
-        "  --lockstep     force the cycle-stepped fallback engine"
-        " (results are byte-identical to the event engine)\n",
-        argv0, what, argv0, defaults.trials,
-        static_cast<unsigned long long>(defaults.measure_cycles),
-        defaults.threads,
-        static_cast<unsigned long long>(defaults.seed));
+                                 const bench_options& defaults,
+                                 std::uint32_t honoured, int code) {
+    const struct {
+        bench_flag flag;
+        const char* form;
+        const char* help;
+        bool numeric; ///< prints `value` as its default
+        unsigned long long value;
+    } docs[] = {
+        {flag_trials, "--trials N", "trials per configuration", true,
+         defaults.trials},
+        {flag_cycles, "--cycles N", "simulated cycles per trial", true,
+         defaults.measure_cycles},
+        {flag_threads, "--threads N",
+         "worker threads for the trial sweep; 0 = all cores", true,
+         defaults.threads},
+        {flag_seed, "--seed N", "base RNG seed", true, defaults.seed},
+        {flag_csv, "--csv PATH", "also write machine-readable rows to PATH",
+         false, 0},
+        {flag_metrics, "--metrics PATH",
+         "write the merged obs metrics snapshot (CSV)", false, 0},
+        {flag_trace, "--trace PATH",
+         "write the trial-0 event trace (.json = Chrome trace JSON, else "
+         "CSV)",
+         false, 0},
+        {flag_profile, "--profile",
+         "report simulator wall-clock profile after the run", false, 0},
+        {flag_lockstep, "--lockstep",
+         "force the cycle-stepped fallback engine (results are "
+         "byte-identical to the event engine)",
+         false, 0},
+    };
+    std::fprintf(stderr, "%s -- %s\nusage: %s", argv0, what, argv0);
+    for (const auto& d : docs) {
+        if ((honoured & d.flag) != 0) std::fprintf(stderr, " [%s]", d.form);
+    }
+    std::fputc('\n', stderr);
+    for (const auto& d : docs) {
+        if ((honoured & d.flag) == 0) continue;
+        std::fprintf(stderr, "  %-14s %s", d.form, d.help);
+        if (d.numeric) std::fprintf(stderr, " (default %llu)", d.value);
+        std::fputc('\n', stderr);
+    }
     std::exit(code);
 }
+
+/// Where a parse error reports: the usage the driver prints.
+struct usage_context {
+    const char* argv0;
+    const char* what;
+    const bench_options& defaults;
+    std::uint32_t honoured;
+
+    [[noreturn]] void fail() const {
+        usage_and_exit(argv0, what, defaults, honoured, 2);
+    }
+};
 
 /// An unsigned decimal no larger than `max`. strtoull alone would accept
 /// leading space and a sign (wrapping "-1" to 2^64 - 1) and saturate on
 /// overflow, so the first character must be a digit and ERANGE is fatal.
-std::uint64_t parse_u64(const char* argv0, const char* what,
-                        const bench_options& defaults, const char* flag,
+std::uint64_t parse_u64(const usage_context& usage, const char* flag,
                         const char* text, std::uint64_t max) {
     char* end = nullptr;
     errno = 0;
@@ -55,9 +85,9 @@ std::uint64_t parse_u64(const char* argv0, const char* what,
     if (!digits_only || errno == ERANGE || v > max) {
         std::fprintf(stderr,
                      "%s: %s expects an integer in [0, %llu], got '%s'\n",
-                     argv0, flag, static_cast<unsigned long long>(max),
+                     usage.argv0, flag, static_cast<unsigned long long>(max),
                      text);
-        usage_and_exit(argv0, what, defaults, 2);
+        usage.fail();
     }
     return v;
 }
@@ -66,11 +96,12 @@ std::uint64_t parse_u64(const char* argv0, const char* what,
 
 bench_options parse_bench_cli(int argc, char** argv,
                               const bench_options& defaults,
-                              const char* what) {
+                              const char* what, std::uint32_t honoured) {
+    const usage_context usage{argv[0], what, defaults, honoured};
     bench_options opts = defaults;
     const auto number = [&](const char* flag, const char* text,
                             std::uint64_t max) {
-        return parse_u64(argv[0], what, defaults, flag, text, max);
+        return parse_u64(usage, flag, text, max);
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -79,42 +110,58 @@ bench_options parse_bench_cli(int argc, char** argv,
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s: %s expects a value\n", argv[0],
                              arg);
-                usage_and_exit(argv[0], what, defaults, 2);
+                usage.fail();
             }
             return argv[++i];
         };
+        // A known flag this driver does not act on is an error, not a
+        // no-op: the caller would otherwise wait for output that never
+        // comes.
+        const auto accept = [&](bench_flag flag) {
+            if ((honoured & flag) == 0) {
+                std::fprintf(stderr, "%s: %s is not supported by this"
+                                     " driver\n",
+                             argv[0], arg);
+                usage.fail();
+            }
+            return true;
+        };
 
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-            usage_and_exit(argv[0], what, defaults, 0);
-        } else if (std::strcmp(arg, "--trials") == 0) {
+            usage_and_exit(argv[0], what, defaults, honoured, 0);
+        } else if (std::strcmp(arg, "--trials") == 0 && accept(flag_trials)) {
             opts.trials = static_cast<std::uint32_t>(number(
                 arg, value(), std::numeric_limits<std::uint32_t>::max()));
-        } else if (std::strcmp(arg, "--cycles") == 0) {
+        } else if (std::strcmp(arg, "--cycles") == 0 && accept(flag_cycles)) {
             opts.measure_cycles = number(
                 arg, value(), std::numeric_limits<cycle_t>::max());
-        } else if (std::strcmp(arg, "--threads") == 0) {
+        } else if (std::strcmp(arg, "--threads") == 0 &&
+                   accept(flag_threads)) {
             opts.threads = static_cast<unsigned>(number(
                 arg, value(), std::numeric_limits<unsigned>::max()));
-        } else if (std::strcmp(arg, "--seed") == 0) {
+        } else if (std::strcmp(arg, "--seed") == 0 && accept(flag_seed)) {
             opts.seed = number(arg, value(),
                                std::numeric_limits<std::uint64_t>::max());
-        } else if (std::strcmp(arg, "--csv") == 0) {
+        } else if (std::strcmp(arg, "--csv") == 0 && accept(flag_csv)) {
             opts.csv_path = value();
-        } else if (std::strcmp(arg, "--metrics") == 0) {
+        } else if (std::strcmp(arg, "--metrics") == 0 &&
+                   accept(flag_metrics)) {
             opts.metrics_path = value();
-        } else if (std::strcmp(arg, "--trace") == 0) {
+        } else if (std::strcmp(arg, "--trace") == 0 && accept(flag_trace)) {
             opts.trace_path = value();
-        } else if (std::strcmp(arg, "--profile") == 0) {
+        } else if (std::strcmp(arg, "--profile") == 0 &&
+                   accept(flag_profile)) {
             opts.profile = true;
-        } else if (std::strcmp(arg, "--lockstep") == 0) {
+        } else if (std::strcmp(arg, "--lockstep") == 0 &&
+                   accept(flag_lockstep)) {
             opts.lockstep = true;
         } else if (arg[0] == '-' && arg[1] != '\0') {
             std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg);
-            usage_and_exit(argv[0], what, defaults, 2);
+            usage.fail();
         } else {
             std::fprintf(stderr, "%s: unexpected argument '%s'\n", argv[0],
                          arg);
-            usage_and_exit(argv[0], what, defaults, 2);
+            usage.fail();
         }
     }
     // Applied here so every driver honours the flag without plumbing it

@@ -1,6 +1,8 @@
 // Shared command-line handling for the bench/ drivers.
 //
-// One vocabulary for every driver:
+// One vocabulary for every driver; each driver accepts the flags it
+// honours and rejects the others (exit 2), so no flag is silently
+// ignored:
 //
 //   --trials N     trials per configuration
 //   --cycles N     simulated cycles per trial
@@ -44,14 +46,37 @@ struct bench_options {
     bool lockstep = false;
 };
 
+/// The flags of the shared vocabulary (--help is always accepted). A
+/// driver passes the set it honours to parse_bench_cli.
+enum bench_flag : std::uint32_t {
+    flag_trials = 1u << 0,
+    flag_cycles = 1u << 1,
+    flag_threads = 1u << 2,
+    flag_seed = 1u << 3,
+    flag_csv = 1u << 4,
+    flag_metrics = 1u << 5,
+    flag_trace = 1u << 6,
+    flag_profile = 1u << 7,
+    flag_lockstep = 1u << 8,
+};
+
+/// What a scenario sweep driver honours (run_bench_sweep exports
+/// --metrics and --trace; the rows go to --csv). --profile is not in it:
+/// only a driver that reports the profile takes that flag.
+inline constexpr std::uint32_t k_sweep_flags =
+    flag_trials | flag_cycles | flag_threads | flag_seed | flag_csv |
+    flag_metrics | flag_trace | flag_lockstep;
+
 /// Parses the shared bench flags. `defaults` seeds the returned options
-/// (pass the bench's historical defaults). Numbers are unsigned decimal
-/// and must fit their field. On --help or a malformed command line,
-/// prints usage for `what` and terminates the process (benches are leaf
-/// executables).
+/// (pass the bench's historical defaults) and `honoured` is the set of
+/// bench_flag values the driver acts on; any other flag is a usage error.
+/// Numbers are unsigned decimal and must fit their field. On --help or a
+/// malformed command line, prints usage (of the honoured flags) for
+/// `what` and terminates the process (benches are leaf executables).
 [[nodiscard]] bench_options parse_bench_cli(int argc, char** argv,
                                             const bench_options& defaults,
-                                            const char* what);
+                                            const char* what,
+                                            std::uint32_t honoured);
 
 /// Opens the CSV sink when --csv was given: returns nullptr when no path
 /// was requested, and exits with a diagnostic when the file cannot be

@@ -103,7 +103,7 @@ public:
                     // All components idle until `due`: state is frozen, so
                     // one evaluation covers every cycle in [now_, due).
                     if (done()) return true;
-                    now_ = due;
+                    skip_to(due);
                     checked = true;
                 }
             }
@@ -130,6 +130,16 @@ private:
     /// step(); commit() implementations are pure latches (they never fire
     /// wakes), so the value seen there is the one the next step acts on.
     [[nodiscard]] cycle_t next_due() const { return schedule_.next_due(); }
+
+    /// The event engine's idle skip: jumps the clock to `due` over cycles
+    /// that provably do nothing. The trace clock ends on the last skipped
+    /// cycle, where lockstep's per-cycle step() leaves it, so an event
+    /// emitted between runs (a request submitted from outside the
+    /// simulation) carries the same cycle under both engines.
+    void skip_to(cycle_t due) {
+        now_ = due;
+        if (trace_ != nullptr) trace_->set_now(due - 1);
+    }
 
     engine engine_;
     std::vector<component*> components_;

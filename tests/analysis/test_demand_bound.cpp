@@ -66,6 +66,15 @@ TEST(dbf_step_points, empty_below_first_period) {
     EXPECT_TRUE(dbf_step_points({{100, 1}}, 99).empty());
 }
 
+TEST(dbf_step_points, stops_at_the_horizon_without_wrapping) {
+    // Multiples of 2^62 up to 2^64 - 1: the fourth would wrap to 0.
+    constexpr std::uint64_t quarter = std::uint64_t{1} << 62;
+    const auto pts = dbf_step_points({{quarter, 1}}, ~std::uint64_t{0});
+    const std::vector<std::uint64_t> expected{quarter, 2 * quarter,
+                                              3 * quarter};
+    EXPECT_EQ(pts, expected);
+}
+
 class dbf_property : public ::testing::TestWithParam<rt_task> {};
 
 TEST_P(dbf_property, staircase_changes_only_at_step_points) {

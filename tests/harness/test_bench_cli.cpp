@@ -4,6 +4,7 @@
 // runs and no thread starts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <initializer_list>
 #include <limits>
 #include <string>
@@ -14,13 +15,16 @@
 namespace bluescale::harness {
 namespace {
 
-bench_options parse(std::initializer_list<const char*> args) {
+constexpr std::uint32_t k_every_flag = k_sweep_flags | flag_profile;
+
+bench_options parse(std::initializer_list<const char*> args,
+                    std::uint32_t honoured = k_every_flag) {
     std::vector<std::string> storage{"bench"};
     storage.insert(storage.end(), args.begin(), args.end());
     std::vector<char*> argv;
     for (auto& a : storage) argv.push_back(a.data());
     return parse_bench_cli(static_cast<int>(argv.size()), argv.data(),
-                           bench_options{}, "test driver");
+                           bench_options{}, "test driver", honoured);
 }
 
 TEST(bench_cli, parses_every_numeric_flag) {
@@ -85,6 +89,36 @@ TEST(bench_cli, rejects_unknown_options_and_missing_values) {
                 "unknown option '--trails'");
     EXPECT_EXIT((void)parse({"--trials"}), ::testing::ExitedWithCode(2),
                 "--trials expects a value");
+}
+
+TEST(bench_cli, rejects_flags_the_driver_does_not_honour) {
+    // A driver without CSV or metrics output (acceptance_ratio's set)
+    // must not accept --csv / --metrics and then write nothing.
+    const std::uint32_t analysis_only = flag_trials | flag_threads;
+    EXPECT_EXIT((void)parse({"--trials", "1", "--csv", "x.csv"},
+                            analysis_only),
+                ::testing::ExitedWithCode(2),
+                "--csv is not supported by this driver");
+    EXPECT_EXIT((void)parse({"--metrics", "m.csv"}, analysis_only),
+                ::testing::ExitedWithCode(2),
+                "--metrics is not supported by this driver");
+    EXPECT_EXIT((void)parse({"--lockstep"}, analysis_only),
+                ::testing::ExitedWithCode(2),
+                "--lockstep is not supported by this driver");
+    EXPECT_EXIT((void)parse({"--profile"}, k_sweep_flags),
+                ::testing::ExitedWithCode(2),
+                "--profile is not supported by this driver");
+    // The honoured ones still parse.
+    const auto opts = parse({"--trials", "3", "--threads", "2"},
+                            analysis_only);
+    EXPECT_EQ(opts.trials, 3u);
+    EXPECT_EQ(opts.threads, 2u);
+}
+
+TEST(bench_cli, usage_lists_only_the_honoured_flags) {
+    EXPECT_EXIT((void)parse({"--help"}, flag_csv),
+                ::testing::ExitedWithCode(0),
+                "usage: bench \\[--csv PATH\\]\n");
 }
 
 TEST(bench_cli, help_exits_cleanly) {

@@ -123,6 +123,30 @@ TEST(engine_equivalence, reconfig_run_bit_identical) {
     expect_engines_agree(ic_kind::bluescale, s);
 }
 
+TEST(engine_equivalence, service_storm_run_bit_identical) {
+    // The analysis service takes each request from outside the
+    // simulation, between runs, and traces it on the trace clock. After
+    // an idle skip that clock must read the last skipped cycle, as it
+    // does after lockstep steps through those cycles.
+    scenario s;
+    s.workload.n_clients = 16;
+    s.trials = 2;
+    s.measure_cycles = 6'000;
+    s.seed = 3;
+    s.threads = 2;
+    s.workload.best_effort_clients = 4;
+    s.client_retry = true;
+    s.faults = sim::fault_campaign_config{.events_per_kcycle = 0.05};
+    s.reconfig = core::reconfig_config{};
+    s.service = service_stage{.worker_fault_intensity = 0.05};
+    s.service->config.default_deadline = 20'000;
+    s.requests = sim::reconfig_schedule_config{.warmup = 2'000,
+                                               .events_per_kcycle = 8.0};
+    s.collect_metrics = true;
+    s.collect_trace = true;
+    expect_engines_agree(ic_kind::bluescale, s);
+}
+
 /// Everything a depth-4 trial exports: per-client results as CSV, the
 /// metrics snapshot and the event trace.
 struct deep_exports {

@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "../test_util.hpp"
 #include "stats/csv.hpp"
@@ -60,6 +63,16 @@ TEST_F(csv_test, quotes_newlines) {
 TEST(csv, reports_unwritable_path) {
     csv_writer w("/nonexistent_dir_zz/file.csv", {"a"});
     EXPECT_FALSE(w.ok());
+}
+
+TEST_F(csv_test, scratch_path_names_the_test_and_the_process) {
+    // Two ctest runs sharing one temp dir run the same test names; the
+    // process id keeps their files apart.
+    const std::string name =
+        "csv_test.scratch_path_names_the_test_and_the_process." +
+        std::to_string(::getpid()) + ".csv";
+    ASSERT_GE(path_.size(), name.size());
+    EXPECT_EQ(path_.substr(path_.size() - name.size()), name);
 }
 
 } // namespace

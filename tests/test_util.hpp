@@ -5,6 +5,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "harness/scenario.hpp"
@@ -28,14 +30,15 @@ public:
     scoped_engine& operator=(const scoped_engine&) = delete;
 };
 
-/// A scratch file path unique to the running test ("<suite>.<name><ext>"
-/// under gtest's temp dir), so cases that ctest runs as parallel
-/// processes never share a file.
+/// A scratch file path unique to the running test and process
+/// ("<suite>.<name>.<pid><ext>" under gtest's temp dir), so cases that
+/// ctest runs as parallel processes never share a file, nor do two ctest
+/// runs that share one temp dir.
 inline std::string temp_path_for_current_test(const std::string& ext) {
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     return ::testing::TempDir() + info->test_suite_name() + "." +
-           info->name() + ext;
+           info->name() + "." + std::to_string(::getpid()) + ext;
 }
 
 /// A snapshot as the --metrics exporter writes it: byte comparison of
